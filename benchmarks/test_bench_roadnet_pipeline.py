@@ -4,9 +4,10 @@ The road layer sits under everything the paper's evaluation does: the dataset
 build (route sampling + GPS simulation + map matching), the nearest-segment
 queries behind matching, and the shortest-path distances behind the anomaly
 generators and the iBOAT reference lookup.  This benchmark drives the compiled
-:class:`~repro.roadnet.csr.CompiledRoadGraph` and the retained legacy
-implementations through identical seeded workloads and gates on both speed
-and exactness.
+:class:`~repro.roadnet.csr.CompiledRoadGraph` and the retained dict-based
+references (``legacy_dijkstra_*``, ``MapMatcher._match_legacy`` and a
+benchmark-local per-edge route sampler) through identical seeded workloads
+and gates on both speed and exactness.
 
 Acceptance bars (quick scale, enforced):
 
@@ -37,11 +38,18 @@ from repro.roadnet import (
     batched_dijkstra_distances,
     generate_arterial_city,
     legacy_dijkstra_distances,
+    legacy_dijkstra_route,
 )
 from repro.serving import FleetEngine, replay_trajectories
-from repro.trajectory import MapMatcher, SimulatorConfig, TrajectorySimulator, simulate_gps
+from repro.trajectory import (
+    MapMatcher,
+    RouteChoiceModel,
+    SimulatorConfig,
+    TrajectorySimulator,
+    simulate_gps,
+)
 from repro.trajectory.dataset import encode_batch
-from repro.utils import RandomState
+from repro.utils import RandomState, get_rng
 from repro.utils.timing import Timer, format_duration
 
 MIN_BUILD_SPEEDUP = 5.0
@@ -61,11 +69,34 @@ def _bench_city():
     )
 
 
+class PerEdgeRouteModel(RouteChoiceModel):
+    """Legacy arm: a per-edge ``segment_cost × noise`` callable on the dict Dijkstra."""
+
+    def sample_route(self, source_segment, destination_segment, rng=None):
+        rng = get_rng(rng)
+        cfg = self.config
+        noise_factor = np.exp(rng.normal(0.0, cfg.utility_noise, size=self.network.num_segments))
+        if source_segment == destination_segment:
+            return None
+        src = self.network.segment(source_segment)
+        dst = self.network.segment(destination_segment)
+
+        def trip_cost(segment):
+            base = self.preference.segment_cost(segment.segment_id, cfg.preference_strength)
+            return base * float(noise_factor[segment.segment_id])
+
+        middle = legacy_dijkstra_route(self.network, src.end_node, dst.start_node, weight=trip_cost)
+        if middle is None:
+            return None
+        return self._join(source_segment, middle, destination_segment)
+
+
 def test_bench_nearest_segment_queries():
     """Grid-local candidate queries vs the exhaustive all-segments scan."""
     city = _bench_city()
     graph = city.network.compiled()
-    legacy = MapMatcher(city.network, compiled=False)
+    legacy = MapMatcher(city.network)
+    legacy._segment_geometry()  # build the scan's geometry outside the timed region
     rng = np.random.default_rng(BENCH_SEED)
     low = graph.node_xy.min(axis=0)
     high = graph.node_xy.max(axis=0)
@@ -130,14 +161,20 @@ def test_bench_dataset_build():
     """Generation + map matching end to end, CSR vs legacy, exact parity."""
     city = _bench_city()
 
-    def build(compiled: bool):
+    def build(legacy: bool):
         simulator = TrajectorySimulator(
             city,
             config=SimulatorConfig(min_length=6, max_length=50),
             rng=RandomState(BENCH_SEED + 1),
-            compiled=compiled,
         )
-        matcher = MapMatcher(city.network, compiled=compiled)
+        matcher = MapMatcher(city.network)
+        match = matcher.match
+        if legacy:
+            simulator.route_model = PerEdgeRouteModel(
+                city.network, city.preference, simulator.config
+            )
+            matcher._segment_geometry()  # scan setup stays outside the timed region
+            match = matcher._match_legacy
         with Timer() as generation_timer:
             trajectories = simulator.generate_many(NUM_TRAJECTORIES)
         raws = [
@@ -145,7 +182,7 @@ def test_bench_dataset_build():
             for i, t in enumerate(trajectories)
         ]
         with Timer() as matching_timer:
-            matches = [matcher.match(raw) for raw in raws]
+            matches = [match(raw) for raw in raws]
         return trajectories, matches, generation_timer.elapsed, matching_timer.elapsed
 
     # Warm both paths (grid build, numpy caches) outside the timed region.
@@ -157,8 +194,8 @@ def test_bench_dataset_build():
         )
     )
 
-    compiled_traj, compiled_matches, compiled_gen, compiled_match = build(compiled=True)
-    legacy_traj, legacy_matches, legacy_gen, legacy_match = build(compiled=False)
+    compiled_traj, compiled_matches, compiled_gen, compiled_match = build(legacy=False)
+    legacy_traj, legacy_matches, legacy_gen, legacy_match = build(legacy=True)
 
     assert len(compiled_traj) == len(legacy_traj) == NUM_TRAJECTORIES
     for a, b in zip(compiled_traj, legacy_traj):

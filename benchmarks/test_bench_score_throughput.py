@@ -74,6 +74,22 @@ def _walk_dataset(network, num_segments: int, count: int) -> TrajectoryDataset:
     return TrajectoryDataset.from_trajectories(walks, num_segments, name="score-walks")
 
 
+def _graph_scores(model, dataset, lambda_weight=None) -> np.ndarray:
+    """The Tensor reference arm: ``_tensor_scores`` over ``iter_batches(64)``."""
+    scores = np.empty(len(dataset), dtype=np.float64)
+    cursor = 0
+    for batch in dataset.iter_batches(64, shuffle=False):
+        batch_scores = model._tensor_scores(batch, lambda_weight=lambda_weight)
+        scores[cursor : cursor + len(batch_scores)] = batch_scores
+        cursor += len(batch_scores)
+    return scores
+
+
+def _graph_sweep(model, dataset) -> np.ndarray:
+    """The per-λ Tensor loop the one-pass λ sweep is gated against."""
+    return np.stack([_graph_scores(model, dataset, lambda_weight=lam) for lam in LAMBDAS])
+
+
 def _interleaved_best(step_a, step_b, rounds=ROUNDS):
     """Best-of wall times, rounds interleaved so load drift hits both paths."""
     step_a(), step_b()
@@ -105,15 +121,15 @@ def test_bench_score_throughput_and_lambda_sweep():
     engine = model.inference_engine()
 
     # --- parity: drift vs the Tensor path ------------------------------- #
-    graph_scores = model.score_dataset(dataset, engine="graph")
-    numpy_scores = model.score_dataset(dataset, engine="numpy")
+    graph_scores = _graph_scores(model, dataset)
+    numpy_scores = model.score_dataset(dataset)
     score_drift = float(np.abs(graph_scores - numpy_scores).max())
     assert score_drift <= DRIFT_ATOL, f"score drift {score_drift:.2e} > {DRIFT_ATOL}"
 
     # --- batched dataset scoring ----------------------------------------- #
     graph_time, numpy_time = _interleaved_best(
-        lambda: model.score_dataset(dataset, engine="graph"),
-        lambda: model.score_dataset(dataset, engine="numpy"),
+        lambda: _graph_scores(model, dataset),
+        lambda: model.score_dataset(dataset),
     )
     score_speedup = graph_time / numpy_time
 
@@ -125,12 +141,12 @@ def test_bench_score_throughput_and_lambda_sweep():
         "decomposition must be computed exactly once for the whole grid"
     )
     assert engine.stats.trajectories_scored == len(dataset)
-    graph_sweep = model.lambda_sweep_scores(dataset, LAMBDAS, engine="graph")
+    graph_sweep = _graph_sweep(model, dataset)
     sweep_drift = float(np.abs(sweep - graph_sweep).max())
     assert sweep_drift <= DRIFT_ATOL, f"λ-sweep drift {sweep_drift:.2e} > {DRIFT_ATOL}"
 
     graph_sweep_time, numpy_sweep_time = _interleaved_best(
-        lambda: model.lambda_sweep_scores(dataset, LAMBDAS, engine="graph"),
+        lambda: _graph_sweep(model, dataset),
         lambda: model.lambda_sweep_scores(dataset, LAMBDAS),
         rounds=2,
     )

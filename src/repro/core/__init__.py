@@ -11,7 +11,6 @@ from repro.core.inference import (
     ScoreDecomposition,
     Seq2SeqInferenceEngine,
     gather_log_softmax,
-    resolve_engine,
     successor_log_softmax_nll,
 )
 from repro.core.tg_vae import TGVAE, TGVAEOutput
@@ -50,5 +49,4 @@ __all__ = [
     "EngineStats",
     "gather_log_softmax",
     "successor_log_softmax_nll",
-    "resolve_engine",
 ]

@@ -34,11 +34,12 @@ arithmetic source of truth.
 
 Datasets are scored in length-bucketed batches (near-homogeneous lengths, so
 padded GRU steps are almost eliminated) through per-bucket workspaces that are
-reused across batches; results are scattered back into dataset order.  The
-Tensor path remains available behind ``engine="graph"`` on the scoring entry
-points as the parity reference — ``tests/core/test_inference_engine.py`` pins
-the two paths together and ``benchmarks/test_bench_score_throughput.py`` gates
-the speedup.
+reused across batches; results are scattered back into dataset order.  Every
+scoring entry point runs through these engines.  The autograd Tensor forward
+stays as the training substrate and the parity reference
+(:meth:`CausalTAD._tensor_scores`, ``Seq2SeqVAEModel.anomaly_scores``):
+``tests/core/test_inference_engine.py`` pins the two together and
+``benchmarks/test_bench_score_throughput.py`` gates the speedup.
 """
 
 from __future__ import annotations
@@ -69,27 +70,9 @@ __all__ = [
     "Workspace",
     "gather_log_softmax",
     "successor_log_softmax_nll",
-    "resolve_engine",
-    "DEFAULT_ENGINE",
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-#: The engine the scoring entry points use when none is requested.
-DEFAULT_ENGINE = "numpy"
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Validate an ``engine=`` argument (``None`` selects :data:`DEFAULT_ENGINE`).
-
-    ``"numpy"`` is the graph-free batched engine of this module; ``"graph"``
-    is the autograd Tensor path kept as the parity reference.
-    """
-    if engine is None:
-        return DEFAULT_ENGINE
-    if engine not in ("numpy", "graph"):
-        raise ValueError(f"unknown inference engine {engine!r}; choose 'numpy' or 'graph'")
-    return engine
 
 
 # --------------------------------------------------------------------------- #

@@ -18,9 +18,10 @@ flat-array view (:meth:`RoadNetwork.compiled`): weights are resolved to a
 per-segment array once per call (``weight`` may now be a numpy array as well
 as the historical callable) and the heap loop touches only plain ints and
 floats.  Routes, distances and tie-breaking are bit-identical to the original
-dict-based implementations, which are kept as ``legacy_dijkstra_route`` /
-``legacy_dijkstra_distances`` — the reference points for the parity tests and
-the benchmark gates.
+dict-based implementations, ``legacy_dijkstra_route`` /
+``legacy_dijkstra_distances``.  Those remain the path for networks with sparse
+segment ids (which cannot be compiled) and the reference points for the
+parity tests and the benchmark gates.
 """
 
 from __future__ import annotations
@@ -148,8 +149,12 @@ def batched_dijkstra_distances(
             out[row] = [reachable.get(node, np.inf) for node in node_ids]
         return out
     graph = network.compiled()
-    sources = [graph.node_index[int(s)] for s in source_nodes]
-    return csr_dijkstra_batched(graph, sources, weights=graph.resolve_weights(weight))
+    # Unknown intersections behave like isolated nodes: an all-``inf`` row.
+    known = [row for row, s in enumerate(source_nodes) if int(s) in graph.node_index]
+    sources = [graph.node_index[int(source_nodes[row])] for row in known]
+    out = np.full((len(source_nodes), graph.num_nodes), np.inf, dtype=np.float64)
+    out[known] = csr_dijkstra_batched(graph, sources, weights=graph.resolve_weights(weight))
+    return out
 
 
 def route_between_segments(
@@ -270,11 +275,14 @@ def legacy_dijkstra_route(
     weight: Optional[WeightFn] = None,
     banned_segments: Optional[Set[int]] = None,
 ) -> Optional[List[int]]:
-    """The pre-CSR dict/dataclass Dijkstra, kept as the parity reference.
+    """The dict/dataclass Dijkstra over the network's own adjacency.
 
-    ``tests/roadnet/test_csr_graph.py`` asserts the CSR path reproduces its
-    routes bit-for-bit and ``benchmarks/test_bench_roadnet_pipeline.py``
-    measures the speedup against it.  Not intended for production use.
+    :func:`dijkstra_route` runs it for networks with sparse (non-contiguous)
+    segment ids, which cannot be compiled to CSR.  It is also the parity
+    reference: ``tests/roadnet/test_csr_graph.py`` asserts the CSR path
+    reproduces its routes bit-for-bit and
+    ``benchmarks/test_bench_roadnet_pipeline.py`` measures the speedup
+    against it.
     """
     if source_node == target_node:
         return []
@@ -324,7 +332,7 @@ def legacy_dijkstra_distances(
     source_node: int,
     weight: Optional[WeightFn] = None,
 ) -> Dict[int, float]:
-    """The pre-CSR single-source distances, kept as the parity reference."""
+    """Dict-based single-source distances: the sparse-id path and parity reference."""
     weight = weight or _default_weight
     distances: Dict[int, float] = {source_node: 0.0}
     visited: Set[int] = set()
@@ -335,7 +343,10 @@ def legacy_dijkstra_distances(
             continue
         visited.add(node)
         for segment in network.out_segments(node):
-            candidate = dist + weight(segment)
+            cost = weight(segment)
+            if cost < 0:
+                raise ValueError("Dijkstra requires non-negative segment weights")
+            candidate = dist + cost
             neighbour = segment.end_node
             if candidate < distances.get(neighbour, float("inf")):
                 distances[neighbour] = candidate

@@ -8,7 +8,8 @@ pipeline end-to-end, this module provides
   (the inverse problem, useful for generating raw-trajectory test data), and
 * :class:`MapMatcher` — a lightweight matcher turning raw GPS trajectories
   into road-segment sequences using nearest-segment candidates chained by a
-  connectivity-aware Viterbi-style pass.
+  connectivity-aware Viterbi-style pass.  It runs on the compiled CSR graph,
+  or by exhaustive scan on networks with sparse segment ids.
 
 The matcher is intentionally simple (this library's experiments run on
 segment sequences produced directly by the simulator); it exists so that users
@@ -100,14 +101,17 @@ class MapMatcher:
     and gaps between non-adjacent chosen segments are bridged with shortest
     paths so that the result is always a *connected* route.
 
-    With ``compiled=True`` (the default) candidates come from the compiled
-    graph's grid-accelerated :meth:`~repro.roadnet.csr.CompiledRoadGraph.
-    nearest_segments` — only grid-local segments are projected, instead of
-    every segment for every point — and the Viterbi runs on padded
-    ``(points, candidates)`` arrays.  ``compiled=False`` keeps the original
-    exhaustive-scan + dict implementation; both produce identical routes
-    (same costs, same first-minimum tie-breaking), which the parity tests and
-    the roadnet pipeline benchmark assert.
+    The path follows the network, by the same rule as
+    :func:`~repro.roadnet.shortest_path.dijkstra_route`.  Networks with
+    contiguous segment ids match on the compiled graph: candidates come from
+    the grid-accelerated :meth:`~repro.roadnet.csr.CompiledRoadGraph.
+    nearest_segments` (only grid-local segments are projected, instead of
+    every segment for every point) and the Viterbi runs on padded
+    ``(points, candidates)`` arrays.  Sparse-id networks, which cannot be
+    compiled, use the exhaustive-scan + dict matcher (:meth:`_match_legacy`).
+    Both produce identical routes (same costs, same first-minimum
+    tie-breaking), which the parity tests and the roadnet pipeline benchmark
+    assert.
     """
 
     def __init__(
@@ -116,20 +120,26 @@ class MapMatcher:
         num_candidates: int = 4,
         disconnect_penalty: float = 250.0,
         heading_weight: float = 60.0,
-        compiled: bool = True,
     ) -> None:
         self.network = network
         self.num_candidates = num_candidates
         self.disconnect_penalty = disconnect_penalty
         self.heading_weight = heading_weight
-        self.compiled = compiled
-        self._graph = network.compiled() if compiled else None
-        self._segment_geometry: List[Tuple[int, Point, Point]] = []
-        if not compiled:
-            for seg in network.segments():
-                start = network.intersection(seg.start_node).location
-                end = network.intersection(seg.end_node).location
-                self._segment_geometry.append((seg.segment_id, start, end))
+        self._geometry: Optional[List[Tuple[int, Point, Point]]] = None
+
+    def _segment_geometry(self) -> List[Tuple[int, Point, Point]]:
+        """``(segment id, start, end)`` of every segment, built on first use."""
+        if self._geometry is None:
+            network = self.network
+            self._geometry = [
+                (
+                    seg.segment_id,
+                    network.intersection(seg.start_node).location,
+                    network.intersection(seg.end_node).location,
+                )
+                for seg in network.segments()
+            ]
+        return self._geometry
 
     # ------------------------------------------------------------------ #
     def _candidates(
@@ -142,7 +152,7 @@ class MapMatcher:
         vector and the segment direction) is what disambiguates them.
         """
         scored = []
-        for sid, start, end in self._segment_geometry:
+        for sid, start, end in self._segment_geometry():
             _, distance, _ = project_point_to_segment(point, start, end)
             cost = distance
             if heading is not None:
@@ -158,13 +168,13 @@ class MapMatcher:
 
     def match(self, trajectory: Trajectory) -> MatchResult:
         """Match a raw GPS trajectory to a connected road-segment route."""
-        if self.compiled:
+        if self.network._contiguous_segment_ids():
             return self._match_compiled(trajectory)
         return self._match_legacy(trajectory)
 
     def _match_compiled(self, trajectory: Trajectory) -> MatchResult:
         """Vectorised candidates + array Viterbi on the compiled graph."""
-        graph = self._graph
+        graph = self.network.compiled()
         points = trajectory.points
         num_points = len(points)
         xy = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(num_points, 2)
@@ -218,7 +228,7 @@ class MapMatcher:
         )
 
     def _match_legacy(self, trajectory: Trajectory) -> MatchResult:
-        """The original exhaustive-scan matcher (parity/benchmark reference)."""
+        """Exhaustive-scan matcher: the sparse-id path and the parity reference."""
         points = trajectory.points
         headings: List[Optional[Tuple[float, float]]] = []
         for i in range(len(points)):

@@ -4,9 +4,11 @@ The numpy engine (``repro/core/inference.py``) must reproduce the autograd
 Tensor path bit-tight (≤ 1e-12) across every scoring configuration the
 models support: road-constrained and unconstrained decoding, fused and
 per-step graph reference paths, padded batches containing zero-prediction
-rows, the λ grid, and the full Seq2Seq baseline family.  It also pins the
-decomposition contract — summing the pieces reproduces ``score_batch`` — and
-the ``Seq2SeqDetector.score`` train/eval-mode restoration fix.
+rows, the λ grid, and the full Seq2Seq baseline family.  The Tensor
+references are composed here from ``CausalTAD._tensor_scores``, the TG-VAE
+forward's ``step_log_probs`` and ``Seq2SeqVAEModel.anomaly_scores``.  It also
+pins the decomposition contract — summing the pieces reproduces
+``score_batch`` — and the train/eval-mode restoration of both paths.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from repro.core import (
     CausalTADConfig,
     ScoreDecomposition,
     TrainingConfig,
-    resolve_engine,
 )
 from repro.core.inference import Workspace, _length_sorted_batches
+from repro.nn import no_grad
 from repro.trajectory.dataset import TrajectoryDataset, encode_batch
 from repro.trajectory.types import MapMatchedTrajectory
 from repro.utils import RandomState
@@ -76,6 +78,48 @@ def _model_for(benchmark_data, config: CausalTADConfig, attach: bool = True) -> 
     return model
 
 
+def _graph_dataset_scores(model: CausalTAD, dataset, batch_size: int = 64, **kwargs):
+    """Tensor-reference scores for a dataset: ``_tensor_scores`` per batch."""
+    scores = np.empty(len(dataset), dtype=np.float64)
+    cursor = 0
+    for batch in dataset.iter_batches(batch_size, shuffle=False):
+        batch_scores = model._tensor_scores(batch, **kwargs)
+        scores[cursor : cursor + len(batch_scores)] = batch_scores
+        cursor += len(batch_scores)
+    return scores
+
+
+def _graph_step_scores(model: CausalTAD, trajectory) -> np.ndarray:
+    """``−log P(t_i | c, t_<i)`` per segment from the TG-VAE Tensor forward."""
+    batch = encode_batch([trajectory], model.config.num_segments)
+    was_training = model.training
+    model.eval()
+    try:
+        with no_grad():
+            output = model.tg_vae(batch, model._road_constraint(), deterministic_latent=True)
+    finally:
+        model.train(was_training)
+    return -output.step_log_probs[0][: len(trajectory.segments) - 1]
+
+
+def _seq2seq_graph_scores(detector, dataset) -> np.ndarray:
+    """Tensor-reference Seq2Seq scores: ``anomaly_scores`` per batch in eval mode."""
+    model = detector.model
+    was_training = model.training
+    model.eval()
+    try:
+        with no_grad():
+            chunks = [
+                model.anomaly_scores(batch)
+                for batch in dataset.iter_batches(
+                    detector.config.training.batch_size, shuffle=False
+                )
+            ]
+    finally:
+        model.train(was_training)
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
+
+
 # --------------------------------------------------------------------------- #
 # CausalTAD parity
 # --------------------------------------------------------------------------- #
@@ -91,8 +135,8 @@ def test_score_batch_parity_all_configs(
     )
     model = _model_for(benchmark_data, config)
     batch = mixed_dataset.encode(range(24))
-    graph = model.score_batch(batch, engine="graph")
-    numpy_scores = model.score_batch(batch, engine="numpy")
+    graph = model._tensor_scores(batch)
+    numpy_scores = model.score_batch(batch)
     np.testing.assert_allclose(numpy_scores, graph, atol=PARITY_ATOL, rtol=0.0)
 
 
@@ -102,24 +146,24 @@ def test_score_dataset_parity(benchmark_data, mixed_dataset, use_sd_decoder):
         CausalTADConfig.tiny(benchmark_data.num_segments), use_sd_decoder=use_sd_decoder
     )
     model = _model_for(benchmark_data, config)
-    graph = model.score_dataset(mixed_dataset, engine="graph")
-    numpy_scores = model.score_dataset(mixed_dataset, engine="numpy")
+    graph = _graph_dataset_scores(model, mixed_dataset)
+    numpy_scores = model.score_dataset(mixed_dataset)
     np.testing.assert_allclose(numpy_scores, graph, atol=PARITY_ATOL, rtol=0.0)
 
 
 def test_trained_model_parity(trained_causal_tad, mixed_dataset):
     """Parity holds on trained weights, not just the random initialisation."""
     trained_causal_tad.scaling_factors()
-    graph = trained_causal_tad.score_dataset(mixed_dataset, engine="graph")
-    numpy_scores = trained_causal_tad.score_dataset(mixed_dataset, engine="numpy")
+    graph = _graph_dataset_scores(trained_causal_tad, mixed_dataset)
+    numpy_scores = trained_causal_tad.score_dataset(mixed_dataset)
     np.testing.assert_allclose(numpy_scores, graph, atol=PARITY_ATOL, rtol=0.0)
 
 
 def test_padded_and_minimal_rows(benchmark_data, padded_batch):
     """Heavily padded rows (one real prediction) match the graph path."""
     model = _model_for(benchmark_data, CausalTADConfig.tiny(benchmark_data.num_segments))
-    graph = model.score_batch(padded_batch, engine="graph")
-    numpy_scores = model.score_batch(padded_batch, engine="numpy")
+    graph = model._tensor_scores(padded_batch)
+    numpy_scores = model.score_batch(padded_batch)
     np.testing.assert_allclose(numpy_scores, graph, atol=PARITY_ATOL, rtol=0.0)
     decomposition = model.inference_engine().decompose_batch(padded_batch)
     # The stub row made exactly one prediction; its padded tail is zero.
@@ -161,18 +205,23 @@ def test_zero_timestep_batch(benchmark_data):
 
 def test_step_scores_and_breakdown_parity(trained_causal_tad, mixed_dataset):
     trajectory = mixed_dataset[0].trajectory
-    graph = trained_causal_tad.segment_score_breakdown(trajectory, engine="graph")
-    numpy_breakdown = trained_causal_tad.segment_score_breakdown(trajectory, engine="numpy")
+    lam = trained_causal_tad.config.lambda_weight
+    breakdown = trained_causal_tad.segment_score_breakdown(trajectory)
+    graph_steps = _graph_step_scores(trained_causal_tad, trajectory)
+    graph_debiased = graph_steps - lam * trained_causal_tad.scaling_factors()[breakdown.segments]
+    graph_total = trained_causal_tad._tensor_scores(
+        encode_batch([trajectory], trained_causal_tad.config.num_segments)
+    )[0]
     np.testing.assert_allclose(
-        numpy_breakdown.likelihood_scores, graph.likelihood_scores, atol=PARITY_ATOL, rtol=0.0
+        breakdown.likelihood_scores, graph_steps, atol=PARITY_ATOL, rtol=0.0
     )
     np.testing.assert_allclose(
-        numpy_breakdown.debiased_scores, graph.debiased_scores, atol=PARITY_ATOL, rtol=0.0
+        breakdown.debiased_scores, graph_debiased, atol=PARITY_ATOL, rtol=0.0
     )
-    assert abs(numpy_breakdown.total_score - graph.total_score) <= PARITY_ATOL
+    assert abs(breakdown.total_score - graph_total) <= PARITY_ATOL
     # The breakdown's total matches the standalone trajectory score.
     direct = trained_causal_tad.score_trajectory(trajectory)
-    assert abs(numpy_breakdown.total_score - direct) <= PARITY_ATOL
+    assert abs(breakdown.total_score - direct) <= PARITY_ATOL
 
 
 # --------------------------------------------------------------------------- #
@@ -198,31 +247,32 @@ def test_decomposition_sum_equals_score_batch(trained_causal_tad, mixed_dataset)
     )
     np.testing.assert_allclose(
         decomposition.scores(lam),
-        trained_causal_tad.score_batch(batch, engine="numpy"),
+        trained_causal_tad.score_batch(batch),
         atol=0.0,
         rtol=0.0,
     )
     # use_scaling=False drops the scaling term entirely (Table III ablation).
     np.testing.assert_allclose(
         decomposition.scores(lam, use_scaling=False),
-        trained_causal_tad.score_batch(batch, use_scaling=False, engine="graph"),
+        trained_causal_tad._tensor_scores(batch, use_scaling=False),
         atol=PARITY_ATOL,
         rtol=0.0,
     )
 
 
 def test_lambda_grid_parity(trained_causal_tad, mixed_dataset):
-    """The vectorized λ sweep matches per-λ scoring on both engines."""
+    """The vectorized λ sweep matches per-λ scoring on both paths."""
     sweep = trained_causal_tad.lambda_sweep_scores(mixed_dataset, LAMBDAS)
     assert sweep.shape == (len(LAMBDAS), len(mixed_dataset))
-    graph_sweep = trained_causal_tad.lambda_sweep_scores(
-        mixed_dataset, LAMBDAS, engine="graph"
+    graph_sweep = np.stack(
+        [
+            _graph_dataset_scores(trained_causal_tad, mixed_dataset, lambda_weight=lam)
+            for lam in LAMBDAS
+        ]
     )
     np.testing.assert_allclose(sweep, graph_sweep, atol=PARITY_ATOL, rtol=0.0)
     for index, lam in enumerate(LAMBDAS):
-        per_lambda = trained_causal_tad.score_dataset(
-            mixed_dataset, lambda_weight=lam, engine="numpy"
-        )
+        per_lambda = trained_causal_tad.score_dataset(mixed_dataset, lambda_weight=lam)
         np.testing.assert_allclose(sweep[index], per_lambda, atol=PARITY_ATOL, rtol=0.0)
 
 
@@ -234,11 +284,13 @@ def test_lambda_sweep_runs_one_dataset_pass(trained_causal_tad, mixed_dataset):
     assert stats.trajectories_scored == len(mixed_dataset)
 
 
-def test_engine_stats_and_resolve():
-    assert resolve_engine(None) == "numpy"
-    assert resolve_engine("graph") == "graph"
-    with pytest.raises(ValueError):
-        resolve_engine("torch")
+@pytest.mark.parametrize("start_training", [True, False], ids=["train", "eval"])
+def test_tensor_scores_restore_mode(benchmark_data, mixed_dataset, start_training):
+    """The Tensor reference scores in eval mode and restores the caller's mode."""
+    model = _model_for(benchmark_data, CausalTADConfig.tiny(benchmark_data.num_segments))
+    model.train(start_training)
+    model._tensor_scores(mixed_dataset.encode(range(4)))
+    assert model.training is start_training
 
 
 def test_decomposition_dataset_order(trained_causal_tad, mixed_dataset):
@@ -255,11 +307,10 @@ def test_decomposition_dataset_order(trained_causal_tad, mixed_dataset):
 
 
 def test_empty_dataset_matches_graph_path(trained_causal_tad, benchmark_data):
-    """Both engines return empty results for an empty dataset (no raise)."""
+    """Both paths return empty results for an empty dataset (no raise)."""
     empty = TrajectoryDataset([], benchmark_data.num_segments, name="empty")
-    for engine in ("numpy", "graph"):
-        scores = trained_causal_tad.score_dataset(empty, engine=engine)
-        assert scores.shape == (0,)
+    assert trained_causal_tad.score_dataset(empty).shape == (0,)
+    assert _graph_dataset_scores(trained_causal_tad, empty).shape == (0,)
     decomposition = trained_causal_tad.score_decomposition(empty)
     assert len(decomposition) == 0
     assert trained_causal_tad.lambda_sweep_scores(empty, LAMBDAS).shape == (len(LAMBDAS), 0)
@@ -310,29 +361,40 @@ def seq2seq_config(benchmark_data) -> DetectorConfig:
 def test_seq2seq_engine_parity(detector_cls, seq2seq_config, mixed_dataset):
     detector = detector_cls(seq2seq_config, rng=RandomState(55))
     detector._fitted = True  # untrained weights exercise the same arithmetic
-    graph = detector.score(mixed_dataset, engine="graph")
-    numpy_scores = detector.score(mixed_dataset, engine="numpy")
+    graph = _seq2seq_graph_scores(detector, mixed_dataset)
+    numpy_scores = detector.score(mixed_dataset)
     np.testing.assert_allclose(numpy_scores, graph, atol=PARITY_ATOL, rtol=0.0)
 
 
 def test_seq2seq_trained_parity(benchmark_data, seq2seq_config, mixed_dataset):
     detector = VSAEDetector(seq2seq_config, rng=RandomState(56))
     detector.fit(benchmark_data.train)
-    graph = detector.score(mixed_dataset, engine="graph")
-    numpy_scores = detector.score(mixed_dataset, engine="numpy")
+    graph = _seq2seq_graph_scores(detector, mixed_dataset)
+    numpy_scores = detector.score(mixed_dataset)
     np.testing.assert_allclose(numpy_scores, graph, atol=PARITY_ATOL, rtol=0.0)
 
 
 @pytest.mark.parametrize("engine", ["numpy", "graph"])
 def test_seq2seq_score_restores_mode(seq2seq_config, mixed_dataset, engine):
-    """Regression: ``score`` used to force the model back into train mode."""
+    """Regression: ``score`` used to force the model back into train mode.
+
+    ``numpy`` is the production ``detector.score``; ``graph`` the Tensor
+    reference the parity tests compare it against.
+    """
     detector = VSAEDetector(seq2seq_config, rng=RandomState(57))
     detector._fitted = True
+
+    def score():
+        if engine == "numpy":
+            detector.score(mixed_dataset)
+        else:
+            _seq2seq_graph_scores(detector, mixed_dataset)
+
     detector.model.eval()
-    detector.score(mixed_dataset, engine=engine)
+    score()
     assert detector.model.training is False
     detector.model.train()
-    detector.score(mixed_dataset, engine=engine)
+    score()
     assert detector.model.training is True
 
 

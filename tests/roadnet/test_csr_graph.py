@@ -29,6 +29,7 @@ from repro.roadnet import (
     route_between_segments,
 )
 from repro.trajectory import MapMatcher, TrajectorySimulator, SimulatorConfig, simulate_gps
+from repro.trajectory.types import GPSPoint, Trajectory
 from repro.utils import RandomState
 
 
@@ -151,10 +152,27 @@ class TestCompiledStructure:
             matrix, [[0.0, 100.0, 200.0], [np.inf, np.inf, 0.0]]
         )
 
+        def negative(segment):
+            return -5.0 if segment.segment_id == 7 else 1.0
+
+        with pytest.raises(ValueError, match="non-negative"):
+            dijkstra_distances(net, 0, weight=negative)
+        with pytest.raises(ValueError, match="non-negative"):
+            batched_dijkstra_distances(net, [0], weight=negative)
+        points = tuple(
+            GPSPoint(x=float(x), y=float(y), timestamp=float(i))
+            for i, (x, y) in enumerate([(10, 2), (60, -3), (98, 40), (102, 90)])
+        )
+        raw = Trajectory(trajectory_id="sparse", points=points)
+        assert MapMatcher(net).match(raw).trajectory.segments == (7, 9)
+
     def test_unknown_nodes_behave_as_isolated(self, cities):
         net = cities["grid"]
         assert dijkstra_route(net, 99_999, 0) is None
         assert dijkstra_distances(net, 99_999) == {99_999: 0.0}
+        matrix = batched_dijkstra_distances(net, [0, 99_999])
+        np.testing.assert_array_equal(matrix[0], batched_dijkstra_distances(net, [0])[0])
+        assert np.isinf(matrix[1]).all()
 
     def test_route_length_rejects_invalid_ids(self, cities):
         net = cities["grid"]
@@ -293,7 +311,7 @@ class TestNearestSegments:
 
     def test_candidates_match_exhaustive_scan(self, arterial):
         graph = arterial.compiled()
-        matcher = MapMatcher(arterial, compiled=False)
+        matcher = MapMatcher(arterial)
         rng = np.random.default_rng(5)
         low = graph.node_xy.min(axis=0) - 150.0
         high = graph.node_xy.max(axis=0) + 150.0
@@ -314,7 +332,7 @@ class TestNearestSegments:
 
     def test_candidates_without_heading(self, arterial):
         graph = arterial.compiled()
-        matcher = MapMatcher(arterial, compiled=False)
+        matcher = MapMatcher(arterial)
         rng = np.random.default_rng(6)
         points = rng.uniform(0.0, 1800.0, size=(150, 2))
         sids, _ = graph.nearest_segments(points, 4)
@@ -340,15 +358,14 @@ class TestMatchedRouteParity:
         simulator = TrajectorySimulator(
             city, config=SimulatorConfig(min_length=5, max_length=40), rng=RandomState(17)
         )
-        compiled = MapMatcher(city.network, compiled=True)
-        legacy = MapMatcher(city.network, compiled=False)
+        matcher = MapMatcher(city.network)
         for i, trajectory in enumerate(simulator.generate_many(12)):
             for noise in (5.0, 25.0, 60.0):
                 raw = simulate_gps(
                     city.network, trajectory, noise_std=noise, rng=RandomState(900 + i)
                 )
-                fast = compiled.match(raw)
-                slow = legacy.match(raw)
+                fast = matcher.match(raw)
+                slow = matcher._match_legacy(raw)
                 assert fast.trajectory.segments == slow.trajectory.segments
                 assert fast.num_points_used == slow.num_points_used
                 assert fast.mean_match_distance == pytest.approx(
@@ -357,13 +374,12 @@ class TestMatchedRouteParity:
 
     def test_matched_route_on_disconnected_network(self, cities):
         net = cities["disconnected"]
-        from repro.trajectory.types import GPSPoint, Trajectory
-
         points = tuple(
             GPSPoint(x=float(x), y=float(y), timestamp=float(i))
             for i, (x, y) in enumerate([(10, 5), (90, -4), (5010, 4996), (5090, 5004)])
         )
         raw = Trajectory(trajectory_id="cross-component", points=points)
-        fast = MapMatcher(net, compiled=True).match(raw)
-        slow = MapMatcher(net, compiled=False).match(raw)
+        matcher = MapMatcher(net)
+        fast = matcher.match(raw)
+        slow = matcher._match_legacy(raw)
         assert fast.trajectory.segments == slow.trajectory.segments

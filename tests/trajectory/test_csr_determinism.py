@@ -2,9 +2,9 @@
 
 Guards the generator rewiring of the CSR refactor: trajectory generation and
 map matching must be (a) bit-identical run-to-run for a fixed seed and
-(b) bit-identical between the compiled CSR path and the legacy dict-based
-path — the stream of RNG draws, the sampled routes and the synthesised
-timestamps all have to line up exactly.
+(b) bit-identical between the compiled CSR path and a per-edge reference
+route sampler on the dict-based Dijkstra — the stream of RNG draws, the
+sampled routes and the synthesised timestamps all have to line up exactly.
 """
 
 from __future__ import annotations
@@ -12,16 +12,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.roadnet import CityConfig, generate_arterial_city
+from repro.roadnet import CityConfig, generate_arterial_city, legacy_dijkstra_route
 from repro.trajectory import (
     BenchmarkConfig,
     MapMatcher,
+    RouteChoiceModel,
     SimulatorConfig,
     TrajectorySimulator,
     build_benchmark_data,
     simulate_gps,
 )
-from repro.utils import RandomState
+from repro.utils import RandomState, get_rng
 
 
 @pytest.fixture(scope="module")
@@ -31,20 +32,45 @@ def city():
     )
 
 
-def _generate(city, seed, compiled):
+class PerEdgeRouteModel(RouteChoiceModel):
+    """Reference sampler: a per-edge ``segment_cost × noise`` callable on the dict Dijkstra."""
+
+    def sample_route(self, source_segment, destination_segment, rng=None):
+        rng = get_rng(rng)
+        cfg = self.config
+        noise_factor = np.exp(rng.normal(0.0, cfg.utility_noise, size=self.network.num_segments))
+        if source_segment == destination_segment:
+            return None
+        src = self.network.segment(source_segment)
+        dst = self.network.segment(destination_segment)
+
+        def trip_cost(segment):
+            base = self.preference.segment_cost(segment.segment_id, cfg.preference_strength)
+            return base * float(noise_factor[segment.segment_id])
+
+        middle = legacy_dijkstra_route(self.network, src.end_node, dst.start_node, weight=trip_cost)
+        if middle is None:
+            return None
+        return self._join(source_segment, middle, destination_segment)
+
+
+def _generate(city, seed, per_edge=False):
     simulator = TrajectorySimulator(
         city,
         config=SimulatorConfig(min_length=5, max_length=40),
         rng=RandomState(seed),
-        compiled=compiled,
     )
+    if per_edge:
+        simulator.route_model = PerEdgeRouteModel(
+            simulator.network, simulator.preference, simulator.config
+        )
     return simulator.generate_many(25)
 
 
 class TestGenerationDeterminism:
     def test_same_seed_is_bit_identical(self, city):
-        first = _generate(city, seed=77, compiled=True)
-        second = _generate(city, seed=77, compiled=True)
+        first = _generate(city, seed=77)
+        second = _generate(city, seed=77)
         assert len(first) == len(second) == 25
         for a, b in zip(first, second):
             assert a.trajectory_id == b.trajectory_id
@@ -52,25 +78,17 @@ class TestGenerationDeterminism:
             assert a.timestamps == b.timestamps  # exact float equality
 
     def test_compiled_matches_legacy_path(self, city):
-        compiled = _generate(city, seed=78, compiled=True)
-        legacy = _generate(city, seed=78, compiled=False)
+        compiled = _generate(city, seed=78)
+        legacy = _generate(city, seed=78, per_edge=True)
         assert len(compiled) == len(legacy)
         for a, b in zip(compiled, legacy):
             assert a.segments == b.segments
             assert a.timestamps == b.timestamps
 
-    def test_sd_pair_stream_unchanged(self, city):
-        """The SD sampler consumes the RNG identically on both paths."""
-        sim_a = TrajectorySimulator(city, rng=RandomState(9), compiled=True)
-        sim_b = TrajectorySimulator(city, rng=RandomState(9), compiled=False)
-        pairs_a = [sim_a.sample_sd_pair() for _ in range(50)]
-        pairs_b = [sim_b.sample_sd_pair() for _ in range(50)]
-        assert [p.as_tuple() for p in pairs_a] == [p.as_tuple() for p in pairs_b]
-
 
 class TestMatchingDeterminism:
     def test_matching_bit_identical_run_to_run(self, city):
-        trajectories = _generate(city, seed=80, compiled=True)[:8]
+        trajectories = _generate(city, seed=80)[:8]
         raws = [
             simulate_gps(city.network, t, rng=RandomState(500 + i))
             for i, t in enumerate(trajectories)
