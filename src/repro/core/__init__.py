@@ -10,20 +10,18 @@ from repro.core.inference import (
     InferenceEngine,
     ScoreDecomposition,
     Seq2SeqInferenceEngine,
+    SessionInit,
+    advance_sessions,
     gather_log_softmax,
+    init_session_states,
     successor_log_softmax_nll,
+    validate_segment_ids,
 )
 from repro.core.tg_vae import TGVAE, TGVAEOutput
 from repro.core.rp_vae import RPVAE, RPVAEOutput
 from repro.core.causal_tad import CausalTAD, CausalTADLoss, SegmentScoreBreakdown
 from repro.core.trainer import Trainer, TrainingHistory
 from repro.core.online import OnlineDetector, OnlineSession
-from repro.core.scoring_kernel import (
-    SessionInit,
-    advance_sessions,
-    init_session_states,
-    validate_segment_ids,
-)
 
 __all__ = [
     "CausalTADConfig",

@@ -129,8 +129,8 @@ class CausalTAD(Module):
         return self._transition_mask
 
     def _road_constraint(self):
-        """What the TG-VAE receives: the compiled graph when attached."""
-        return self._road_graph if self._road_graph is not None else self._transition_mask
+        """What the TG-VAE receives: the compiled graph, or None when detached."""
+        return self._road_graph
 
     @property
     def fused(self) -> bool:

@@ -1,45 +1,43 @@
-"""Graph-free batched inference engine (paper §V-D, offline form).
+"""Graph-free numpy eval forward (paper §V-D): offline, per-ride and fleet scoring.
 
-The paper's inference-time observation is that the anomaly score decomposes
-into reusable pieces: a likelihood term from TG-VAE's deterministic eval-mode
-forward plus precomputed per-segment scaling factors from RP-VAE.  Training
-needs the autograd :class:`~repro.nn.tensor.Tensor` graph; *scoring* does not
-— yet the historical offline path ran every ``score_dataset`` call through the
-full ``TGVAE.forward`` (graph construction, fused-kernel backward stashes,
-per-step NLL bookkeeping), and the Fig. 8 λ sweep repeated that forward once
-per λ even though λ only enters as a scalar weight at composition time.
+The anomaly score decomposes into reusable pieces: a likelihood term from
+TG-VAE's deterministic eval-mode forward plus precomputed per-segment scaling
+factors from RP-VAE.  Training needs the autograd
+:class:`~repro.nn.tensor.Tensor` graph; scoring does not.  This module holds
+the one pure-numpy eval forward of TG-VAE, mirroring the autograd forward
+operation-for-operation, in the two pieces the paper's online update needs:
 
-This module is the offline counterpart of :mod:`repro.core.scoring_kernel`
-(which vectorizes the *online* per-segment update): a pure-numpy,
-allocation-reusing batched scorer that mirrors the eval-mode forwards
-operation-for-operation, so offline, online and fleet scores share one
-arithmetic source of truth.
+* **session start** — SD encoder → posterior mean → SD-decoder NLL + KL →
+  the decoder's initial hidden state, once per offline batch or once per
+  ride (:func:`init_session_states`);
+* **decoder step** — GRU step plus the (successor-set) log-softmax of the
+  entered segment, over the unrolled sequence offline or over every pending
+  ride per tick (:func:`advance_sessions`).
 
-* :class:`InferenceEngine` — scores CausalTAD batches/datasets without
-  building a single Tensor.  Road-constrained batches never materialise the
-  ``(batch, time, vocab)`` logits: the decoder hidden states are contracted
-  against only the gathered successor weight columns (O(out-degree) per step
-  instead of O(vocab)), mirroring :func:`~repro.nn.fused.fused_successor_nll`
-  arithmetic on sparsely computed candidates.
+* :class:`InferenceEngine` — scores CausalTAD batches/datasets.
+  Road-constrained batches never materialise the ``(batch, time, vocab)``
+  logits: the decoder hidden states are contracted against only the gathered
+  successor weight columns (O(out-degree) per step instead of O(vocab)).
+* :func:`init_session_states` / :func:`advance_sessions` — the same start
+  and step for rides in progress: :class:`~repro.core.online.OnlineSession`
+  calls them with one row, :class:`~repro.serving.FleetEngine` with one row
+  per pending ride.
 * :class:`ScoreDecomposition` — the reusable result: per-trajectory
   ``trajectory_nll`` / ``sd_nll`` / ``kl``, per-step log-probabilities and
-  per-trajectory scaling sums.  Every downstream consumer composes scores
-  without re-running the model; :meth:`ScoreDecomposition.lambda_sweep`
-  evaluates a whole λ grid as one ``likelihood − λ ⊗ scaling`` outer product.
+  per-trajectory scaling sums, from which scores at any λ (and whole λ grids)
+  are composed without re-running the model.
 * :class:`Seq2SeqInferenceEngine` — the same treatment for the Seq2Seq
   baseline family (SAE / VSAE / β-VAE / FactorVAE / GM-VSAE / DeepTEA).
 * :func:`gather_log_softmax` / :func:`successor_log_softmax_nll` — the numpy
-  softmax/NLL mirrors shared with the online serving kernel (moved here from
-  ``scoring_kernel`` so serving and offline scoring deduplicate them).
+  softmax/NLL mirrors every path above runs.
 
-Datasets are scored in length-bucketed batches (near-homogeneous lengths, so
-padded GRU steps are almost eliminated) through per-bucket workspaces that are
-reused across batches; results are scattered back into dataset order.  Every
-scoring entry point runs through these engines.  The autograd Tensor forward
-stays as the training substrate and the parity reference
-(:meth:`CausalTAD._tensor_scores`, ``Seq2SeqVAEModel.anomaly_scores``):
-``tests/core/test_inference_engine.py`` pins the two together and
-``benchmarks/test_bench_score_throughput.py`` gates the speedup.
+Datasets are scored in length-bucketed batches through per-bucket workspaces
+reused across batches; results are scattered back into dataset order.  The
+autograd Tensor forward stays as the training substrate and the parity
+reference (:meth:`CausalTAD._tensor_scores`,
+``Seq2SeqVAEModel.anomaly_scores``): ``tests/core/test_inference_engine.py``
+pins the two together and ``benchmarks/test_bench_score_throughput.py`` gates
+the speedup.
 """
 
 from __future__ import annotations
@@ -54,8 +52,6 @@ from repro import obs
 from repro.nn.functional import NEG_INF
 from repro.nn.fused import _sigmoid_into
 from repro.nn.layers import Activation, Dropout, Linear, MLP
-from repro.nn.rnn import _sigmoid_np
-from repro.roadnet.csr import CompiledRoadGraph
 from repro.trajectory.dataset import EncodedBatch, TrajectoryDataset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -68,6 +64,10 @@ __all__ = [
     "Seq2SeqInferenceEngine",
     "EngineStats",
     "Workspace",
+    "SessionInit",
+    "init_session_states",
+    "advance_sessions",
+    "validate_segment_ids",
     "gather_log_softmax",
     "successor_log_softmax_nll",
 ]
@@ -83,9 +83,9 @@ def gather_log_softmax(logits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -
 
     Same arithmetic as :func:`repro.nn.log_softmax` (max-shift, exp-sum, log)
     but only the gathered entries are computed, saving two full-width
-    ``(batch, vocab)`` array writes.  Shared by the online serving kernel
-    (:func:`repro.core.scoring_kernel.advance_sessions`) and the offline
-    engine's unconstrained scorer, so both score paths agree bit-for-bit.
+    ``(batch, vocab)`` array writes.  Shared by the SD decoder and every
+    unconstrained decoder step, offline and online, so all score paths agree
+    bit-for-bit.
     """
     maxima = logits.max(axis=-1)
     sums = np.exp(logits - maxima[:, None]).sum(axis=-1)
@@ -108,9 +108,9 @@ def successor_log_softmax_nll(
     targets get the dense path's ``NEG_INF`` log-probability).
 
     Mirrors :func:`repro.nn.fused.fused_successor_nll` operation-for-operation
-    (including the degenerate dead-end-row guard), so the offline engine, the
-    online serving kernel and the fused training loss all produce identical
-    step scores.  Callers are responsible for rejecting degenerate rows that
+    (including the degenerate dead-end-row guard), so offline scoring, the
+    online step and the fused training loss all produce identical step
+    scores.  Callers are responsible for rejecting degenerate rows that
     are *not* masked out downstream.
     """
     has_successor = cand_valid.any(axis=-1)
@@ -194,7 +194,7 @@ def _activation_np(name: str, x: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return np.tanh(x)
     if name == "sigmoid":
-        return _sigmoid_np(x)
+        return _sigmoid_into(x, np.empty_like(x))
     if name == "identity":
         return x
     raise ValueError(f"unknown activation '{name}'")
@@ -309,6 +309,203 @@ def _embed_time_major(
     out = ws.take(name, (time, batch, weight.shape[1]))
     np.take(weight, indices.T, axis=0, out=out, mode="clip")
     return out
+
+
+def _softmax_nll(
+    projection: Linear, hidden: np.ndarray, targets: np.ndarray, logits: np.ndarray
+) -> np.ndarray:
+    """``−log softmax(hidden W + b)[i, targets[i]]`` over the full vocabulary.
+
+    ``hidden`` is ``(rows, hidden_dim)``; the logits are written into the
+    ``(rows, vocab)`` buffer ``logits`` and only the target column of the
+    log-probabilities is computed.
+    """
+    np.dot(hidden, projection.weight.data, out=logits)
+    logits += projection.bias.data
+    return -gather_log_softmax(logits, np.arange(targets.shape[0]), targets)
+
+
+# --------------------------------------------------------------------------- #
+# TG-VAE eval forward: session start and the successor-set decoder step
+# --------------------------------------------------------------------------- #
+def _session_start(
+    model: "CausalTAD", sources: np.ndarray, destinations: np.ndarray, ws: Workspace
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SD encoder → posterior mean → SD-decoder NLL, KL and ``tanh(W r)``.
+
+    Mirrors ``TGVAE.forward(deterministic_latent=True)`` up to the trajectory
+    decoder.  Returns per-row ``(sd_nll, kl, h0)``; ``h0`` is freshly
+    allocated, never a workspace view.
+    """
+    tg = model.tg_vae
+    batch_size = sources.shape[0]
+    sd_weight = tg.sd_embedding.weight.data
+    emb_dim = sd_weight.shape[1]
+    joint = ws.take("sd.joint", (batch_size, 2 * emb_dim))
+    joint[:, :emb_dim] = sd_weight[sources]
+    joint[:, emb_dim:] = sd_weight[destinations]
+    mu, logvar = _gaussian_head_np(tg.posterior_head, _mlp_np(tg.sd_encoder, joint))
+    latent = mu  # posterior mean — the eval-mode deterministic sample
+
+    if model.config.use_sd_decoder:
+        hidden = _mlp_np(tg.sd_decoder_hidden, latent)
+        rows = np.arange(batch_size)
+        sd_nll = -gather_log_softmax(_linear_np(tg.source_head, hidden), rows, sources)
+        sd_nll -= gather_log_softmax(_linear_np(tg.destination_head, hidden), rows, destinations)
+    else:
+        sd_nll = np.zeros(batch_size, dtype=np.float64)
+
+    h0 = _linear_np(tg.latent_to_hidden, latent)
+    np.tanh(h0, out=h0)
+    return sd_nll, _gaussian_kl_np(mu, logvar), h0
+
+
+def _successor_nll(
+    model: "CausalTAD",
+    weight_t: np.ndarray,
+    hidden: np.ndarray,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    ws: Workspace,
+    required: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``−log P(target | hidden)`` normalised over each input's road successors.
+
+    ``hidden`` is ``(..., hidden_dim)`` and ``inputs`` / ``targets`` hold
+    in-range segment ids of the leading shape: offline scoring passes
+    ``(batch, time)`` positions, a session advance ``(batch,)`` rides.  The
+    hidden states are contracted with only the successor rows of the
+    transposed projection ``weight_t``, so the ``(..., vocab)`` logits never
+    exist; past the gathered candidates the arithmetic is the shared
+    :func:`successor_log_softmax_nll` mirror of the fused loss.  Raises if a
+    position selected by ``required`` (default: every position) has no
+    successor.
+    """
+    succ_idx, succ_valid = model.road_graph.successor_tables()
+    cand_idx = succ_idx[inputs]                     # (..., degree)
+    cand_valid = succ_valid[inputs]
+    degenerate = ~cand_valid.any(axis=-1)
+    if required is not None:
+        degenerate &= required
+    if degenerate.any():
+        raise ValueError("fused_successor_nll requires at least one allowed position per row")
+    cand_weights = ws.take("dec.candw", cand_idx.shape + (weight_t.shape[1],))
+    # mode="clip" selects the fast unbuffered take; successor-table entries
+    # are in [0, vocab) by construction so it cannot clip.
+    np.take(weight_t, cand_idx, axis=0, out=cand_weights, mode="clip")
+    bias = model.tg_vae.output_projection.bias.data
+    cand = (cand_weights @ hidden[..., None])[..., 0]
+    cand += bias[cand_idx]
+    picked = (weight_t[targets] * hidden).sum(axis=-1)
+    picked += bias[targets]
+    target_allowed = ((cand_idx == targets[..., None]) & cand_valid).any(axis=-1)
+    return successor_log_softmax_nll(cand, cand_valid, picked, target_allowed)
+
+
+@dataclass
+class SessionInit:
+    """Per-ride state produced at session start (one row per ride).
+
+    Attributes
+    ----------
+    fixed_scores:
+        ``(batch,)`` — the SD-reconstruction + KL part of Eq. 10, constant for
+        the lifetime of each ride.  The KL is unweighted, as in
+        :attr:`ScoreDecomposition.likelihood`: the score is −ELBO ≈
+        −log P(c, t) whatever ``kl_weight`` the training loss used.
+    hidden:
+        ``(batch, hidden_dim)`` — initial hidden state of the trajectory
+        decoder (``tanh(W r)`` with ``r`` the deterministic posterior mean).
+    """
+
+    fixed_scores: np.ndarray
+    hidden: np.ndarray
+
+
+def validate_segment_ids(model: "CausalTAD", segment_ids: np.ndarray) -> None:
+    """Raise ``ValueError`` if any id falls outside ``[0, num_segments)``."""
+    ids = np.asarray(segment_ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= model.config.num_segments):
+        bad = ids[(ids < 0) | (ids >= model.config.num_segments)]
+        raise ValueError(
+            f"segment id {int(bad[0])} outside [0, {model.config.num_segments})"
+        )
+
+
+def init_session_states(
+    model: "CausalTAD", sources: np.ndarray, destinations: np.ndarray
+) -> SessionInit:
+    """Batched session start for rides with the given SD pairs.
+
+    The start of the offline eval forward, one row per ride; each row equals
+    the ride scored alone.  Stateless: the scratch lives in a per-call
+    workspace.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    destinations = np.asarray(destinations, dtype=np.int64)
+    # Negative ids would silently wrap in the embedding lookups, so reject
+    # them up front.
+    validate_segment_ids(model, sources)
+    validate_segment_ids(model, destinations)
+    sd_nll, kl, hidden = _session_start(model, sources, destinations, Workspace())
+    return SessionInit(fixed_scores=sd_nll + kl, hidden=hidden)
+
+
+def advance_sessions(
+    model: "CausalTAD",
+    previous_segments: np.ndarray,
+    next_segments: np.ndarray,
+    hidden: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """One batched autoregressive step for a batch of ongoing rides.
+
+    Parameters
+    ----------
+    model:
+        The (eval-mode) CausalTAD model.
+    previous_segments / next_segments:
+        ``(batch,)`` int arrays — the segment each ride is currently on and
+        the segment it just entered.
+    hidden:
+        ``(batch, hidden_dim)`` decoder hidden states (one row per ride).
+
+    Returns
+    -------
+    (new_hidden, step_likelihoods):
+        The advanced hidden states ``(batch, hidden_dim)`` and the per-ride
+        step scores ``−log P(t_i | c, t_{<i})`` of shape ``(batch,)``.
+
+    Raises ``ValueError`` on out-of-range ids, unequal id arrays or a
+    ``hidden`` whose shape is not ``(batch, hidden_dim)``.
+    """
+    tg = model.tg_vae
+    previous_segments = np.asarray(previous_segments, dtype=np.int64)
+    next_segments = np.asarray(next_segments, dtype=np.int64)
+    hidden = np.asarray(hidden, dtype=np.float64)
+    validate_segment_ids(model, previous_segments)
+    validate_segment_ids(model, next_segments)
+    if previous_segments.ndim != 1 or next_segments.shape != previous_segments.shape:
+        raise ValueError(
+            "previous and next segments must be 1-D arrays of equal length, got shapes "
+            f"{previous_segments.shape} and {next_segments.shape}"
+        )
+    expected = (previous_segments.shape[0], tg.decoder_rnn.hidden_dim)
+    if hidden.shape != expected:
+        raise ValueError(f"hidden must have shape {expected}, got {hidden.shape}")
+
+    # A per-call workspace keeps the function stateless; the returned states
+    # view its buffer, which nothing writes again.
+    ws = Workspace()
+    embedded = tg.segment_embedding.weight.data[previous_segments]
+    new_hidden = _gru_forward_np(embedded[None], hidden, tg.decoder_rnn.cell, ws, "dec")[1]
+    projection = tg.output_projection
+    if model.config.road_constrained and model.road_graph is not None:
+        weight_t = np.ascontiguousarray(projection.weight.data.T)
+        step = _successor_nll(model, weight_t, new_hidden, previous_segments, next_segments, ws)
+    else:
+        logits = ws.take("dec.logits", (next_segments.shape[0], projection.out_dim))
+        step = _softmax_nll(projection, new_hidden, next_segments, logits)
+    return new_hidden, step
 
 
 # --------------------------------------------------------------------------- #
@@ -538,38 +735,16 @@ class InferenceEngine:
         matching the graph path's behaviour for ``use_scaling=False`` scoring.
         """
         model = self.model
-        config = model.config
         tg = model.tg_vae
         ws = self._ws
         batch_size = batch.batch_size
 
-        # --- SD encoder Φ_e and deterministic latent ---------------------- #
-        sd_weight = tg.sd_embedding.weight.data
-        emb_dim = sd_weight.shape[1]
-        joint = ws.take("sd.joint", (batch_size, 2 * emb_dim))
-        joint[:, :emb_dim] = sd_weight[batch.sources]
-        joint[:, emb_dim:] = sd_weight[batch.destinations]
-        mu, logvar = _gaussian_head_np(tg.posterior_head, _mlp_np(tg.sd_encoder, joint))
-        latent = mu  # posterior mean — the eval-mode deterministic sample
-
-        # --- SD decoder Φ_c ------------------------------------------------ #
-        if config.use_sd_decoder:
-            hidden = _mlp_np(tg.sd_decoder_hidden, latent)
-            source_logits = _linear_np(tg.source_head, hidden)
-            destination_logits = _linear_np(tg.destination_head, hidden)
-            rows = np.arange(batch_size)
-            sd_nll = -gather_log_softmax(source_logits, rows, batch.sources)
-            sd_nll -= gather_log_softmax(destination_logits, rows, batch.destinations)
-        else:
-            sd_nll = np.zeros(batch_size, dtype=np.float64)
-
-        kl = _gaussian_kl_np(mu, logvar)
+        # --- session start: SD encoder Φ_e, SD decoder Φ_c, KL, h0 -------- #
+        sd_nll, kl, h0 = _session_start(model, batch.sources, batch.destinations, ws)
 
         # --- trajectory decoder Φ_t ---------------------------------------- #
         time = batch.inputs.shape[1]
         if time:
-            h0 = _linear_np(tg.latent_to_hidden, latent)
-            np.tanh(h0, out=h0)
             x_tm = _embed_time_major(
                 tg.segment_embedding.weight.data, batch.inputs, ws, "dec.x"
             )
@@ -605,63 +780,31 @@ class InferenceEngine:
     def _per_step_nll(self, batch: EncodedBatch, outputs_tm: np.ndarray) -> np.ndarray:
         """Per-position NLL ``(batch, time)`` from time-major decoder states."""
         model = self.model
-        config = model.config
-        tg = model.tg_vae
-        projection = tg.output_projection
-        constraint = model._road_constraint()
+        projection = model.tg_vae.output_projection
         valid = np.asarray(batch.mask, dtype=np.float64)
 
-        if constraint is not None and config.road_constrained:
-            # Sparse road-constrained scoring: contract the hidden states with
-            # only the successor weight columns — the (batch, time, vocab)
-            # logits never exist.  Arithmetic past the gathered candidates is
-            # the shared successor_log_softmax_nll mirror of the fused loss.
-            if isinstance(constraint, CompiledRoadGraph):
-                succ_idx, succ_valid = constraint.successor_tables()
-            else:
-                succ_idx, succ_valid = tg._successor_tables(constraint)
+        if model.config.road_constrained and model.road_graph is not None:
             inputs = batch.inputs
-            padded = inputs >= config.num_segments
-            safe_inputs = np.where(padded, 0, inputs)
-            target_allowed = (
-                tg._target_allowed(constraint, safe_inputs, batch.targets) | padded
-            )
-            cand_idx = succ_idx[safe_inputs]            # (batch, time, degree)
-            cand_valid = succ_valid[safe_inputs]
-            degenerate = ~cand_valid.any(axis=-1)
-            if (degenerate & batch.mask).any():
-                raise ValueError(
-                    "fused_successor_nll requires at least one allowed position per row"
-                )
-            outputs = outputs_tm.transpose(1, 0, 2)     # (batch, time, hidden) view
+            safe_inputs = np.where(inputs >= model.config.num_segments, 0, inputs)
             weight_t = self._weight_t
             if weight_t is None:  # standalone decompose_batch call
                 weight_t = np.ascontiguousarray(projection.weight.data.T)
-            bias = projection.bias.data
-            hidden_dim = weight_t.shape[1]
-            cand_weights = self._ws.take("dec.candw", cand_idx.shape + (hidden_dim,))
-            # mode="clip" selects the fast unbuffered take; successor-table
-            # entries are in [0, vocab) by construction so it cannot clip.
-            np.take(weight_t, cand_idx, axis=0, out=cand_weights, mode="clip")
-            cand = (cand_weights @ outputs[..., None])[..., 0]
-            cand += bias[cand_idx]
-            picked = (weight_t[batch.targets] * outputs).sum(axis=-1)
-            picked += bias[batch.targets]
-            per_step = successor_log_softmax_nll(cand, cand_valid, picked, target_allowed)
+            outputs = outputs_tm.transpose(1, 0, 2)     # (batch, time, hidden) view
+            per_step = _successor_nll(
+                model, weight_t, outputs, safe_inputs, batch.targets, self._ws, batch.mask
+            )
             return per_step * valid
 
-        # Unconstrained: the full-vocabulary softmax needs every logit, but
-        # only the target column of the log-probability matrix is gathered.
+        # Unconstrained: the full-vocabulary softmax needs every logit.
         time, batch_size, hidden = outputs_tm.shape
-        vocab = projection.out_dim
-        logits = self._ws.take("dec.logits", (time * batch_size, vocab))
-        np.dot(outputs_tm.reshape(time * batch_size, hidden), projection.weight.data, out=logits)
-        logits += projection.bias.data
-        rows = np.arange(time * batch_size)
-        cols = batch.targets.T.reshape(-1)
-        log_probs = gather_log_softmax(logits, rows, cols)
-        per_step = -log_probs.reshape(time, batch_size).T
-        return per_step * valid
+        logits = self._ws.take("dec.logits", (time * batch_size, projection.out_dim))
+        per_step = _softmax_nll(
+            projection,
+            outputs_tm.reshape(time * batch_size, hidden),
+            batch.targets.T.reshape(-1),
+            logits,
+        )
+        return per_step.reshape(time, batch_size).T * valid
 
     # ------------------------------------------------------------------ #
     def decompose_dataset(
@@ -792,15 +935,13 @@ class Seq2SeqInferenceEngine:
             )
             dec_hs = _gru_forward_np(dec_in, dec_h0, model.decoder_rnn.cell, ws, "dec")
             projection = model.output_projection
-            vocab = projection.out_dim
-            logits = ws.take("dec.logits", (time * batch_size, vocab))
-            np.dot(
-                dec_hs[1:].reshape(time * batch_size, -1), projection.weight.data, out=logits
-            )
-            logits += projection.bias.data
-            rows = np.arange(time * batch_size)
-            cols = batch.targets.T.reshape(-1)
-            per_step = -gather_log_softmax(logits, rows, cols).reshape(time, batch_size).T
+            logits = ws.take("dec.logits", (time * batch_size, projection.out_dim))
+            per_step = _softmax_nll(
+                projection,
+                dec_hs[1:].reshape(time * batch_size, -1),
+                batch.targets.T.reshape(-1),
+                logits,
+            ).reshape(time, batch_size).T
             per_step = per_step * np.asarray(batch.mask, dtype=np.float64)
             reconstruction = per_step.sum(axis=1)
         else:

@@ -17,10 +17,11 @@ because:
 maintain exactly this state; ``update(segment)`` is O(hidden²) — constant in
 the trajectory length — matching the complexity analysis of the paper.
 
-The numerical work lives in :mod:`repro.core.scoring_kernel`, which is shared
-with the fleet-scale serving engine (:mod:`repro.serving`): an
-:class:`OnlineSession` is the batch-of-one special case of the same vectorized
-start/advance kernel the fleet engine runs over thousands of rides per tick.
+The numerical work is :func:`~repro.core.inference.init_session_states` and
+:func:`~repro.core.inference.advance_sessions`, the session start and decoder
+step of the offline inference engine's numpy eval forward: an
+:class:`OnlineSession` is the batch-of-one case of the same functions the
+fleet engine (:mod:`repro.serving`) runs over thousands of rides per tick.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.causal_tad import CausalTAD
-from repro.core.scoring_kernel import advance_sessions, init_session_states
+from repro.core.inference import advance_sessions, init_session_states, validate_segment_ids
 from repro.trajectory.types import MapMatchedTrajectory, SDPair
 
 __all__ = ["OnlineSession", "OnlineDetector", "ScoreUpdate"]
@@ -67,13 +68,14 @@ class OnlineSession:
         self._scaling = scaling_factors
         self._lambda = lambda_weight
         self.sd_pair = sd_pair
-        self._check_segment(first_segment)
+        # The first segment never reaches advance_sessions (which validates
+        # every later one), and a negative id would wrap in the scaling lookup.
+        validate_segment_ids(model, first_segment)
         self.segments: List[int] = [first_segment]
         self.updates: List[ScoreUpdate] = []
 
         # Fixed (per-ride) score parts and the decoder's initial hidden state,
-        # computed once at session start (batch of one through the shared
-        # kernel).
+        # computed once at session start (a batch of one).
         init = init_session_states(
             model,
             np.array([sd_pair.source], dtype=np.int64),
@@ -97,17 +99,8 @@ class OnlineSession:
     def observed_length(self) -> int:
         return len(self.segments)
 
-    def _check_segment(self, segment_id: int) -> None:
-        # Pure-Python range check: update() is the per-segment hot path, so it
-        # must not pay numpy array-construction overhead per call.  Negative
-        # ids would otherwise silently wrap in the kernel's embedding lookup.
-        num_segments = self._model.config.num_segments
-        if not 0 <= segment_id < num_segments:
-            raise ValueError(f"segment id {segment_id} outside [0, {num_segments})")
-
     def update(self, segment_id: int) -> ScoreUpdate:
         """Feed the next observed segment; O(1) in the trajectory length."""
-        self._check_segment(segment_id)
         previous = np.array([self.segments[-1]], dtype=np.int64)
         entered = np.array([segment_id], dtype=np.int64)
         self._hidden, step_likelihoods = advance_sessions(

@@ -72,40 +72,6 @@ class GRUCell(Module):
         """Zero hidden state of shape ``(batch, hidden_dim)``."""
         return Tensor(np.zeros((batch_size, self.hidden_dim)))
 
-    def step(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Inference-only step on raw numpy arrays (no autograd graph).
-
-        Mirrors :meth:`forward` operation-for-operation so that results are
-        bitwise identical to the Tensor path; the online serving engine uses it
-        to advance thousands of ride sessions per tick without paying the
-        graph-recording overhead.
-        """
-        gates_x = x @ self.w_ih.data + self.b_ih.data
-        gates_h = h @ self.w_hh.data + self.b_hh.data
-        H = self.hidden_dim
-        reset = _sigmoid_np(gates_x[:, :H] + gates_h[:, :H])
-        update = _sigmoid_np(gates_x[:, H : 2 * H] + gates_h[:, H : 2 * H])
-        candidate = np.tanh(gates_x[:, 2 * H :] + reset * gates_h[:, 2 * H :])
-        return (1.0 - update) * candidate + update * h
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid matching :meth:`Tensor.sigmoid` exactly.
-
-    Same per-element operations as the Tensor path (clip, exp, add, divide on
-    the same branch), but each element is computed once through a mask instead
-    of evaluating both branches everywhere — bitwise-identical results at
-    roughly half the elementwise work, which matters on the serving hot path.
-    """
-    out = np.empty_like(x)
-    positive = x >= 0
-    pos = np.clip(x[positive], -60, 60)
-    out[positive] = 1.0 / (1.0 + np.exp(-pos))
-    negative = ~positive
-    neg = np.exp(np.clip(x[negative], -60, 60))
-    out[negative] = neg / (1.0 + neg)
-    return out
-
 
 class GRU(Module):
     """Single-layer GRU over batch-first sequences.

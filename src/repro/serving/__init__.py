@@ -3,11 +3,11 @@
 The paper's O(1)-per-segment online scoring (§V-D), served at fleet scale:
 :class:`FleetEngine` manages the lifecycle of thousands of concurrent ride
 sessions and executes their segment updates as **vectorized micro-batches** —
-one batched embedding lookup + GRU step + (masked) log-softmax per tick for
-all pending rides — through the same
-:mod:`~repro.core.scoring_kernel` the per-ride
-:class:`~repro.core.OnlineSession` uses, so fleet scores match the per-ride
-and offline paths exactly.
+one batched embedding lookup + GRU step + (successor-set) log-softmax per
+tick for all pending rides — through the same
+:func:`~repro.core.advance_sessions` the per-ride
+:class:`~repro.core.OnlineSession` and the offline inference engine use, so
+fleet scores match the per-ride and offline paths to machine precision.
 
 Modules:
 

@@ -7,18 +7,18 @@ buffers incoming :class:`~repro.serving.events.SegmentObserved` events and
 executes them in **vectorized micro-batches**: each :meth:`tick` performs
 
 * one batched SD encoding for every ride that started since the last tick
-  (:func:`~repro.core.scoring_kernel.init_session_states`), and
-* one batched embedding lookup + one batched GRU-cell step + one batched
+  (:func:`~repro.core.inference.init_session_states`), and
+* one batched embedding lookup + one batched GRU step + one batched
   log-softmax for every ride with a pending observation
-  (:func:`~repro.core.scoring_kernel.advance_sessions`).  With a road network
+  (:func:`~repro.core.inference.advance_sessions`).  With a road network
   attached the softmax normalises over each ride's CSR successor set
   (:meth:`CompiledRoadGraph.successor_tables
   <repro.roadnet.csr.CompiledRoadGraph.successor_tables>`) — O(out-degree)
   gathered columns per ride instead of masking the full segment vocabulary,
 
 so the per-segment cost is a handful of matrix ops for *all* pending rides
-instead of N scalar passes.  Scores are identical to the per-ride path — both
-run the same shared scoring kernel.
+instead of N scalar passes.  Scores match the per-ride and offline paths to
+machine precision — all three run the inference engine's numpy eval forward.
 
 Operational concerns are delegated to the sibling modules: the
 :class:`~repro.serving.store.SessionStore` bounds memory via capacity/TTL
@@ -36,7 +36,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.causal_tad import CausalTAD
-from repro.core.scoring_kernel import advance_sessions, init_session_states
+from repro.core.inference import advance_sessions, init_session_states
 from repro.obs.registry import MetricsRegistry
 from repro.serving.alerts import Alert, ThresholdAlertPolicy, top_k_rides
 from repro.serving.events import FleetEvent, RideEnd, RideStart, SegmentObserved

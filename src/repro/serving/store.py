@@ -1,7 +1,9 @@
 """Session store of the fleet serving engine.
 
-Holds the per-ride scoring state (the batch-of-one view of the shared
-:mod:`~repro.core.scoring_kernel` state) for every active ride, with two
+Holds the per-ride scoring state (one row of the batched
+:func:`~repro.core.inference.init_session_states` /
+:func:`~repro.core.inference.advance_sessions` state) for every active ride,
+with two
 production guard-rails:
 
 * **capacity eviction** — a hard cap on concurrent sessions; when a new ride

@@ -12,6 +12,8 @@ from repro.core import (
     Trainer,
     TrainingConfig,
     TrainingHistory,
+    advance_sessions,
+    init_session_states,
 )
 from repro.utils import RandomState
 
@@ -82,7 +84,7 @@ class TestOnlineDetector:
         for item in benchmark_data.id_test.items[:5]:
             offline = trained_causal_tad.score_trajectory(item.trajectory)
             online = detector.final_score(item.trajectory)
-            assert online == pytest.approx(offline, rel=1e-6, abs=1e-6)
+            assert online == pytest.approx(offline, rel=1e-10, abs=1e-10)
 
     def test_prefix_scores_length(self, trained_causal_tad, benchmark_data):
         detector = OnlineDetector(trained_causal_tad)
@@ -141,3 +143,38 @@ class TestOnlineDetector:
         biased = OnlineDetector(trained_causal_tad, lambda_weight=0.0).final_score(trajectory)
         debiased = OnlineDetector(trained_causal_tad, lambda_weight=0.5).final_score(trajectory)
         assert debiased <= biased + 1e-9
+
+
+class TestAdvanceSessionsValidation:
+    """``advance_sessions`` is public: malformed input raises ``ValueError``."""
+
+    @pytest.fixture
+    def ride(self, trained_causal_tad, benchmark_data):
+        trajectory = benchmark_data.id_test.trajectories[0]
+        init = init_session_states(
+            trained_causal_tad, [trajectory.source], [trajectory.destination]
+        )
+        return trajectory.segments[0], trajectory.segments[1], init.hidden
+
+    def test_rejects_negative_previous_segment(self, trained_causal_tad, ride):
+        _, entered, hidden = ride
+        with pytest.raises(ValueError, match="outside"):
+            advance_sessions(trained_causal_tad, [-1], [entered], hidden)
+
+    def test_rejects_out_of_range_next_segment(self, trained_causal_tad, ride):
+        current, _, hidden = ride
+        too_large = trained_causal_tad.config.num_segments
+        with pytest.raises(ValueError, match="outside"):
+            advance_sessions(trained_causal_tad, [current], [too_large], hidden)
+
+    def test_rejects_hidden_rows_not_matching_rides(self, trained_causal_tad, ride):
+        current, entered, hidden = ride
+        with pytest.raises(ValueError, match="hidden must have shape"):
+            advance_sessions(trained_causal_tad, [current], [entered], np.vstack([hidden, hidden]))
+
+    def test_rejects_unequal_segment_arrays(self, trained_causal_tad, ride):
+        current, entered, hidden = ride
+        with pytest.raises(ValueError, match="equal length"):
+            advance_sessions(
+                trained_causal_tad, [current, current], [entered], np.vstack([hidden, hidden])
+            )

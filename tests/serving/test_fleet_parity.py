@@ -2,11 +2,15 @@
 
 The acceptance bar for the serving subsystem: for the same trajectories, the
 batched :class:`FleetEngine`, the per-ride :class:`OnlineSession` replay and
-the offline :meth:`CausalTAD.score_trajectory` must agree to 1e-6, on both the
-road-constrained (masked softmax) and unconstrained softmax paths.
+the offline :meth:`CausalTAD.score_trajectory` must agree to 1e-10, on both the
+road-constrained (successor-set softmax) and unconstrained softmax paths, and
+whatever ``kl_weight`` the model was trained with (the score always adds the
+unweighted KL).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +19,18 @@ from repro.core import CausalTAD, CausalTADConfig, OnlineDetector
 from repro.serving import FleetEngine, replay_trajectories
 from repro.utils import RandomState
 
-TOL = 1e-6
+TOL = 1e-10
+KL_WEIGHTS = pytest.mark.parametrize("kl_weight", [1.0, 0.5])
+
+
+def with_kl_weight(model, kl_weight, network=None):
+    """A twin of ``model`` (same parameters) whose config has ``kl_weight``."""
+    twin = CausalTAD(
+        replace(model.config, kl_weight=kl_weight), network=network, rng=RandomState(0)
+    )
+    twin.load_state_dict(model.state_dict())
+    twin.eval()
+    return twin
 
 
 def fleet_final_scores(model, trajectories, **engine_kwargs):
@@ -27,14 +42,16 @@ def fleet_final_scores(model, trajectories, **engine_kwargs):
 class TestMaskedPathParity:
     """Trained model with an attached road network (road-constrained softmax)."""
 
-    def test_fleet_matches_session_and_offline(self, trained_causal_tad, benchmark_data):
-        assert trained_causal_tad.transition_mask is not None
+    @KL_WEIGHTS
+    def test_fleet_matches_session_and_offline(self, trained_causal_tad, benchmark_data, kl_weight):
+        model = with_kl_weight(trained_causal_tad, kl_weight, benchmark_data.city.network)
+        assert model.transition_mask is not None
         trajectories = benchmark_data.id_test.trajectories[:12]
-        detector = OnlineDetector(trained_causal_tad)
-        fleet = fleet_final_scores(trained_causal_tad, trajectories)
+        detector = OnlineDetector(model)
+        fleet = fleet_final_scores(model, trajectories)
         for trajectory in trajectories:
             session_score = detector.final_score(trajectory)
-            offline_score = trained_causal_tad.score_trajectory(trajectory)
+            offline_score = model.score_trajectory(trajectory)
             assert fleet[trajectory.trajectory_id] == pytest.approx(session_score, abs=TOL, rel=TOL)
             assert fleet[trajectory.trajectory_id] == pytest.approx(offline_score, abs=TOL, rel=TOL)
 
@@ -75,13 +92,15 @@ class TestUnconstrainedPathParity:
         assert model.transition_mask is None
         return model
 
-    def test_fleet_matches_session_and_offline(self, unmasked_model, benchmark_data):
+    @KL_WEIGHTS
+    def test_fleet_matches_session_and_offline(self, unmasked_model, benchmark_data, kl_weight):
+        model = with_kl_weight(unmasked_model, kl_weight)
         trajectories = benchmark_data.id_test.trajectories[:12]
-        detector = OnlineDetector(unmasked_model)
-        fleet = fleet_final_scores(unmasked_model, trajectories)
+        detector = OnlineDetector(model)
+        fleet = fleet_final_scores(model, trajectories)
         for trajectory in trajectories:
             session_score = detector.final_score(trajectory)
-            offline_score = unmasked_model.score_trajectory(trajectory)
+            offline_score = model.score_trajectory(trajectory)
             assert fleet[trajectory.trajectory_id] == pytest.approx(session_score, abs=TOL, rel=TOL)
             assert fleet[trajectory.trajectory_id] == pytest.approx(offline_score, abs=TOL, rel=TOL)
 
