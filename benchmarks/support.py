@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 from typing import Any, Dict, List
 
 from repro.baselines import (
@@ -32,10 +33,12 @@ BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "7"))
 #: When set, benchmarks drop their timing JSON here (CI uploads it as an artifact).
 BENCH_ARTIFACTS = os.environ.get("REPRO_BENCH_ARTIFACTS", "")
 #: Allowed relative regression against a committed ``BENCH_<area>.json``
-#: baseline before a gate fires.  Baselines record speedup *ratios* (machine
-#: speed divides out), but ratios still jitter across runs and hosts, so the
-#: default is deliberately loose; ``tools/update_bench_baselines.py --check``
-#: uses the same tolerance.
+#: baseline before a gate fires.  Baselines record speedup *ratios* measured
+#: at one BLAS thread (the repository-root ``conftest.py`` pins it), and a
+#: ratio still moves with the host, so a baseline applies only on the machine
+#: its ``machine`` fingerprint names.  Ratios jitter across runs even there,
+#: so the default is deliberately loose; ``tools/update_bench_baselines.py
+#: --check`` uses the same tolerance.
 BENCH_BASELINE_TOLERANCE = float(os.environ.get("REPRO_BENCH_BASELINE_TOLERANCE", "0.25"))
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -49,24 +52,55 @@ __all__ = [
     "training_config",
     "detector_config_for",
     "build_suite",
+    "machine_fingerprint",
     "write_timing_artifact",
     "load_bench_baseline",
     "baseline_floor",
 ]
 
 
+def machine_fingerprint() -> Dict[str, Any]:
+    """Where a timing was measured: CPUs, architecture, numpy, BLAS, threads.
+
+    A speedup ratio is comparable only between runs with an equal
+    fingerprint; every artifact and committed baseline carries one.
+    """
+    import numpy
+
+    blas_name, blas_version = "unknown", "unknown"
+    try:
+        blas = numpy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        blas_name = str(blas.get("name", blas_name))
+        blas_version = str(blas.get("version", blas_version))
+    except (TypeError, AttributeError):  # numpy < 1.25 has no mode="dicts"
+        pass
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cpus = os.cpu_count()
+    return {
+        "cpus": cpus,
+        "arch": platform.machine(),
+        "numpy": numpy.__version__,
+        "blas": blas_name,
+        "blas_version": blas_version,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
 def write_timing_artifact(name: str, payload: Dict[str, Any]) -> None:
     """Persist a benchmark's timing summary as JSON for the CI artifact.
 
     No-op unless the ``REPRO_BENCH_ARTIFACTS`` environment variable names a
-    directory (created on demand).  ``name`` becomes ``<name>.json``.
+    directory (created on demand).  ``name`` becomes ``<name>.json``; the
+    payload is stored with the :func:`machine_fingerprint` under ``machine``.
     """
     if not BENCH_ARTIFACTS:
         return
     os.makedirs(BENCH_ARTIFACTS, exist_ok=True)
     path = os.path.join(BENCH_ARTIFACTS, f"{name}.json")
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump({**payload, "machine": machine_fingerprint()}, handle, indent=2, sort_keys=True)
 
 
 def load_bench_baseline(area: str) -> Dict[str, Any]:
@@ -89,10 +123,13 @@ def baseline_floor(area: str, metric: str, fixed_floor: float) -> float:
     Returns ``max(fixed_floor, recorded * (1 - BENCH_BASELINE_TOLERANCE))`` —
     the fixed floor is the never-regress-below contract, the baseline term
     ratchets the gate up as committed performance improves.  Falls back to
-    ``fixed_floor`` when no baseline (or no such metric) is committed.
+    ``fixed_floor`` when no baseline (or no such metric) is committed, or when
+    the baseline's ``machine`` is not this process's :func:`machine_fingerprint`
+    (a ratio from another machine says nothing about this one).
     """
-    recorded = load_bench_baseline(area).get("metrics", {}).get(metric)
-    if recorded is None:
+    baseline = load_bench_baseline(area)
+    recorded = baseline.get("metrics", {}).get(metric)
+    if recorded is None or baseline.get("machine") != machine_fingerprint():
         return fixed_floor
     return max(fixed_floor, float(recorded) * (1.0 - BENCH_BASELINE_TOLERANCE))
 

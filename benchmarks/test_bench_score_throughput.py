@@ -26,6 +26,12 @@ the O(vocab) projection the engine eliminates is small there), and the scored
 trajectories are road-constrained walks in the length regime of the paper's
 real Xi'an/Chengdu data.
 
+Both arms are timed at one BLAS thread (the repository-root ``conftest.py``
+pins it): the Tensor arm's output-projection GEMM is the only part a second
+thread speeds up, so at the default thread count the ratio would track the
+host's cores.  The gates are the fixed floors above; they ratchet up to a
+committed ``BENCH_scoring.json`` only when it was recorded on the same machine.
+
 Timing JSON is written via ``REPRO_BENCH_ARTIFACTS`` for the CI artifact.
 """
 

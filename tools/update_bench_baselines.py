@@ -3,8 +3,8 @@
 
 The benchmarks (run with ``REPRO_BENCH_ARTIFACTS=<dir>``) each drop a timing
 JSON into ``<dir>``.  This tool folds the *gated ratio metrics* of those
-artifacts — speedups, which divide out machine speed — into one committed
-baseline file per benchmark area at the repository root:
+artifacts — speedups — into one committed baseline file per benchmark area at
+the repository root:
 
 ========================  =====================================================
 ``BENCH_train.json``      ``bench_train_fused`` (tg_speedup, full_speedup)
@@ -15,11 +15,16 @@ baseline file per benchmark area at the repository root:
 ``BENCH_fleet.json``      ``bench_fleet_throughput`` (speedup)
 ========================  =====================================================
 
-Together the committed files are the repo's perf trajectory:
-``benchmarks/support.baseline_floor`` ratchets each bench gate up to
-``baseline * (1 - tolerance)`` (never below the fixed floor), and CI's
-``--check`` mode fails the build when a fresh run regresses beyond the same
-tolerance.
+A ratio does not divide machine speed out: its two arms use BLAS and the
+cores differently, so it moves with the host.  The benchmarks therefore run
+at one BLAS thread (the repository-root ``conftest.py`` pins it), every
+artifact records the ``machine`` fingerprint it was measured on, and each
+baseline file carries the fingerprint of the artifacts it was folded from.
+A baseline applies only on that machine: ``benchmarks/support.baseline_floor``
+ratchets a bench gate up to ``baseline * (1 - tolerance)`` (never below the
+fixed floor) only when the running machine matches, and ``--check`` compares
+only against baselines recorded on the artifacts' machine, reporting any
+other as not comparable.
 
 Usage::
 
@@ -29,8 +34,10 @@ Usage::
     # CI drift gate: compare fresh artifacts against the committed baselines
     python tools/update_bench_baselines.py --check --artifacts bench-artifacts
 
-Absolute timings (seconds) in the artifacts are machine-bound and are
-deliberately *not* folded into the baselines.
+``--check`` exits 1 when no artifact exists or a comparable metric regressed
+beyond the tolerance, and 0 otherwise — also when no baseline is comparable.
+Absolute timings (seconds) in the artifacts are deliberately *not* folded into
+the baselines.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -83,39 +90,66 @@ def _baseline_path(area: str, root: str) -> str:
     return os.path.join(root, f"BENCH_{area}.json")
 
 
-def collect_area_metrics(area: str, artifacts_dir: str) -> Dict[str, float]:
-    """Gated metrics measured by the artifacts present for ``area``."""
+def collect_area_metrics(area: str, artifacts_dir: str) -> Tuple[Dict[str, float], Any]:
+    """Gated metrics the artifacts present for ``area`` measured, and where.
+
+    The second item is the artifacts' ``machine`` fingerprint (``None`` for
+    artifacts that predate it).
+    """
     measured: Dict[str, float] = {}
+    machine = None
     for artifact, mapping in AREAS[area].items():
         payload = _load_json(os.path.join(artifacts_dir, f"{artifact}.json"))
         if payload is None:
             continue
+        machine = payload.get("machine")
         for source, target in mapping.items():
             if source in payload:
                 measured[target] = float(payload[source])
-    return measured
+    return measured, machine
+
+
+def same_machine(recorded: Any, measured: Any) -> bool:
+    """Whether two ``machine`` fingerprints name one known machine."""
+    return recorded is not None and recorded == measured
+
+
+def describe_machine(machine: Any) -> str:
+    """One line naming a ``machine`` fingerprint (or its absence)."""
+    if not isinstance(machine, dict):
+        return "an unrecorded machine"
+    return (
+        f"{machine.get('arch')}, {machine.get('cpus')} CPUs, numpy {machine.get('numpy')}, "
+        f"{machine.get('blas')} {machine.get('blas_version')}, "
+        f"BLAS threads {machine.get('blas_threads')}"
+    )
 
 
 def update(artifacts_dir: str, root: str, log=print) -> int:
-    """Fold fresh artifact metrics into the committed baselines."""
+    """Fold fresh artifact metrics into the committed baselines.
+
+    The baseline takes the artifacts' ``machine``; metrics already committed
+    are kept only when they were recorded on that same machine.
+    """
     wrote = 0
     for area in AREAS:
-        measured = collect_area_metrics(area, artifacts_dir)
+        measured, machine = collect_area_metrics(area, artifacts_dir)
         if not measured:
             log(f"[{area}] no artifacts in {artifacts_dir}; baseline unchanged")
             continue
         path = _baseline_path(area, root)
         existing = _load_json(path) or {}
-        metrics = dict(existing.get("metrics", {}))
+        metrics = dict(existing.get("metrics", {})) if same_machine(existing.get("machine"), machine) else {}
         metrics.update(measured)
         scale = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
         baseline = {
             "area": area,
             "scale": scale,
+            "machine": machine,
             "metrics": {name: round(value, 4) for name, value in sorted(metrics.items())},
             "sources": sorted(AREAS[area]),
-            "note": "speedup ratios only (machine speed divides out); "
-            "refreshed by tools/update_bench_baselines.py",
+            "note": "speedup ratios at one BLAS thread; they ratchet the bench gates "
+            "only on the machine recorded here; refreshed by tools/update_bench_baselines.py",
         }
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(baseline, handle, indent=2, sort_keys=True)
@@ -130,16 +164,29 @@ def update(artifacts_dir: str, root: str, log=print) -> int:
 
 
 def check(artifacts_dir: str, root: str, tolerance: float, log=print) -> int:
-    """Fail (exit 1) when a fresh run regresses beyond ``tolerance``."""
+    """Fail (exit 1) when a fresh run regresses beyond ``tolerance``.
+
+    Only baselines recorded on the artifacts' machine are compared; others
+    are reported as not comparable.  Also fails when no artifact exists.
+    """
     regressions = []
     compared = 0
+    found = False
     for area in AREAS:
+        measured, machine = collect_area_metrics(area, artifacts_dir)
+        found = found or bool(measured)
+        if not measured:
+            continue
         baseline = _load_json(_baseline_path(area, root))
         if baseline is None:
             log(f"[{area}] no committed BENCH_{area}.json; skipping")
             continue
+        if not same_machine(baseline.get("machine"), machine):
+            log(f"[{area}] not comparable (recorded on "
+                f"{describe_machine(baseline.get('machine'))}; measured on "
+                f"{describe_machine(machine)}); skipping")
+            continue
         recorded = baseline.get("metrics", {})
-        measured = collect_area_metrics(area, artifacts_dir)
         for metric, value in sorted(measured.items()):
             reference = recorded.get(metric)
             if reference is None:
@@ -154,14 +201,14 @@ def check(artifacts_dir: str, root: str, tolerance: float, log=print) -> int:
             )
             if value < floor:
                 regressions.append(f"{area}/{metric}")
-    if compared == 0:
-        log("error: nothing to compare (no artifacts or no baselines)")
+    if not found:
+        log(f"error: no benchmark artifacts found under {artifacts_dir}")
         return 1
     if regressions:
         log(f"FAIL: {len(regressions)} metric(s) regressed beyond "
             f"{tolerance:.0%} tolerance: {', '.join(regressions)}")
         return 1
-    log(f"all {compared} gated metrics within {tolerance:.0%} of the committed baselines")
+    log(f"{compared} comparable gated metric(s) within {tolerance:.0%} of the committed baselines")
     return 0
 
 
