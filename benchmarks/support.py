@@ -12,6 +12,7 @@ import os
 import platform
 from typing import Any, Dict, List
 
+from benchmarks.threads import THREAD_ENV_VARS
 from repro.baselines import (
     BetaVAEDetector,
     CausalTADDetector,
@@ -35,10 +36,10 @@ BENCH_ARTIFACTS = os.environ.get("REPRO_BENCH_ARTIFACTS", "")
 #: Allowed relative regression against a committed ``BENCH_<area>.json``
 #: baseline before a gate fires.  Baselines record speedup *ratios* measured
 #: at one BLAS thread (the repository-root ``conftest.py`` pins it), and a
-#: ratio still moves with the host, so a baseline applies only on the machine
-#: its ``machine`` fingerprint names.  Ratios jitter across runs even there,
-#: so the default is deliberately loose; ``tools/update_bench_baselines.py
-#: --check`` uses the same tolerance.
+#: ratio still moves with the host, so a baseline that names a ``machine``
+#: applies only there.  Ratios jitter across runs even there, so the default
+#: is deliberately loose; ``tools/update_bench_baselines.py --check`` uses the
+#: same tolerance.
 BENCH_BASELINE_TOLERANCE = float(os.environ.get("REPRO_BENCH_BASELINE_TOLERANCE", "0.25"))
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -60,10 +61,14 @@ __all__ = [
 
 
 def machine_fingerprint() -> Dict[str, Any]:
-    """Where a timing was measured: CPUs, architecture, numpy, BLAS, threads.
+    """Where a timing was measured: CPUs, Python, numpy, BLAS and its threads.
 
     A speedup ratio is comparable only between runs with an equal
-    fingerprint; every artifact and committed baseline carries one.
+    fingerprint; every artifact carries one, and so does every baseline
+    ``tools/update_bench_baselines.py`` records.  The fields and their names
+    are those of ``perfbench/harness.py::machine_context``, so a bench-gate
+    baseline and a perfbench result name a machine the same way
+    (``tests/test_bench_baselines.py`` checks it).
     """
     import numpy
 
@@ -75,16 +80,18 @@ def machine_fingerprint() -> Dict[str, Any]:
     except (TypeError, AttributeError):  # numpy < 1.25 has no mode="dicts"
         pass
     try:
-        cpus = len(os.sched_getaffinity(0))
+        usable = len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
-        cpus = os.cpu_count()
+        usable = os.cpu_count()
     return {
-        "cpus": cpus,
-        "arch": platform.machine(),
+        "nproc": usable,
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
         "numpy": numpy.__version__,
         "blas": blas_name,
         "blas_version": blas_version,
-        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "blas_threads": {name: os.environ.get(name) for name in THREAD_ENV_VARS},
     }
 
 
@@ -124,12 +131,15 @@ def baseline_floor(area: str, metric: str, fixed_floor: float) -> float:
     the fixed floor is the never-regress-below contract, the baseline term
     ratchets the gate up as committed performance improves.  Falls back to
     ``fixed_floor`` when no baseline (or no such metric) is committed, or when
-    the baseline's ``machine`` is not this process's :func:`machine_fingerprint`
-    (a ratio from another machine says nothing about this one).
+    the baseline names a ``machine`` other than this process's
+    :func:`machine_fingerprint` (a ratio from another machine says nothing
+    about this one).  A baseline recorded before baselines named their
+    machine (no ``machine`` key) ratchets everywhere, as it always has.
     """
     baseline = load_bench_baseline(area)
     recorded = baseline.get("metrics", {}).get(metric)
-    if recorded is None or baseline.get("machine") != machine_fingerprint():
+    here = machine_fingerprint()
+    if recorded is None or baseline.get("machine", here) != here:
         return fixed_floor
     return max(fixed_floor, float(recorded) * (1.0 - BENCH_BASELINE_TOLERANCE))
 

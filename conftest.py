@@ -1,28 +1,15 @@
 """Repository-wide pytest set-up: run every test at one BLAS thread.
 
-The benchmark gates under ``benchmarks/`` time a numpy path against a Tensor
-path whose cost is dominated by one large GEMM; a multi-threaded BLAS speeds
-up only that arm, so their ratio would track the host's core count rather
-than the work saved.  The thread count is fixed when numpy is first imported,
-and ``tests/conftest.py`` imports ``repro`` (and with it numpy), so the pin
-lives here: pytest loads this file before any conftest below it, both for the
-whole suite and for a single test file.
+The speed-up gates under ``benchmarks/`` are a contract about the work the
+fast paths save, measured at one BLAS thread (see "Bench-gate measuring
+condition" in ``docs/ARCHITECTURE.md``).  The thread count is fixed when numpy
+is first imported, and ``tests/conftest.py`` imports ``repro`` (and with it
+numpy), so the pin lives here: pytest loads this file before any conftest
+below it, both for the whole suite and for a single test file.
 """
 
 from __future__ import annotations
 
-import os
+from benchmarks.threads import pin_blas_threads
 
-#: BLAS / OpenMP thread variables pinned before numpy loads.
-THREAD_ENV_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-PINNED_THREADS = "1"
-
-for _name in THREAD_ENV_VARS:
-    os.environ[_name] = PINNED_THREADS
+pin_blas_threads()

@@ -239,6 +239,7 @@ def _gru_forward_np(
     ws: Workspace,
     prefix: str,
     mask: Optional[np.ndarray] = None,
+    steps: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """GRU unroll on raw arrays, mirroring :func:`repro.nn.fused.gru_sequence`.
 
@@ -248,6 +249,12 @@ def _gru_forward_np(
     ``prefix`` buffers.  The op sequence (shared-sigmoid reset/update gates,
     in-place blends, mask carry-through) is copied from the fused kernel's
     no-graph branch, so the states are bitwise identical to the Tensor path.
+
+    ``steps`` (optional, non-decreasing) is each row's number of real steps
+    for a batch sorted by length: step ``t`` then runs only the rows still
+    going, a contiguous tail of the batch, and a finished row's states past
+    its last step are zero, so padding costs no arithmetic.  The real steps
+    get the same states as in a full-batch unroll.
     """
     time, batch, _ = x_tm.shape
     hidden = h0.shape[-1]
@@ -263,35 +270,45 @@ def _gru_forward_np(
     keep = None if mask is None else np.asarray(mask, dtype=np.float64)
     hs = ws.take(prefix + ".hs", (time + 1, batch, hidden))
     hs[0] = h0
-    rz_buf = ws.take(prefix + ".rz", (batch, H2))
-    n_buf = ws.take(prefix + ".n", (batch, hidden))
-    gh = ws.take(prefix + ".gh", (batch, 3 * hidden))
-    scratch = ws.take(prefix + ".scratch", (batch, hidden))
+    rz_all = ws.take(prefix + ".rz", (batch, H2))
+    n_all = ws.take(prefix + ".n", (batch, hidden))
+    gh_all = ws.take(prefix + ".gh", (batch, 3 * hidden))
+    scratch_all = ws.take(prefix + ".scratch", (batch, hidden))
+    if steps is None:
+        first = np.zeros(time, dtype=np.int64)
+    else:
+        hs[1:] = 0.0
+        # numpy hands a one-row product to gemv, whose summation order is not
+        # gemm's, so at least two rows keep running to hold the states bitwise.
+        first = np.minimum(
+            np.searchsorted(steps, np.arange(time), side="right"), max(batch - 2, 0)
+        )
 
-    h = hs[0]
     for t in range(time):
+        lo = first[t]
+        h = hs[t, lo:]
+        gh = gh_all[lo:]
         np.dot(h, w_hh, out=gh)
         gh += b_hh
-        gx = gates_x[t]
-        rz = np.add(gx[:, :H2], gh[:, :H2], out=rz_buf)
+        gx = gates_x[t, lo:]
+        rz = np.add(gx[:, :H2], gh[:, :H2], out=rz_all[lo:])
         _sigmoid_into(rz, rz)
         r, z = rz[:, :hidden], rz[:, hidden:]
         # The fused kernel stashes gh's candidate column for backward before
         # multiplying; inference has no backward, so multiply it directly —
         # the same values, one fewer copy per step.
-        n = np.multiply(r, gh[:, H2:], out=n_buf)
+        n = np.multiply(r, gh[:, H2:], out=n_all[lo:])
         n += gx[:, H2:]
         np.tanh(n, out=n)
-        h_new = np.subtract(1.0, z, out=hs[t + 1])
+        h_new = np.subtract(1.0, z, out=hs[t + 1, lo:])
         h_new *= n
-        np.multiply(z, h, out=scratch)
+        scratch = np.multiply(z, h, out=scratch_all[lo:])
         h_new += scratch
         if keep is not None:
-            k = keep[:, t][:, None]
+            k = keep[lo:, t][:, None]
             h_new *= k
             np.multiply(h, 1.0 - k, out=scratch)
             h_new += scratch
-        h = h_new
     return hs
 
 
@@ -671,12 +688,17 @@ def _length_sorted_batches(
 ) -> List[np.ndarray]:
     """Dataset indices grouped into length-homogeneous batches.
 
-    With an explicit ``batch_size`` the sorted order is simply chunked.  With
+    Every batch lists its indices shortest trajectory first, which lets the
+    decoder GRU skip the padded steps of finished rows.  With an explicit
+    ``batch_size`` the sorted order is simply chunked.  With
     ``batch_size=None`` (the engine default) batches are packed greedily so
     each holds roughly :data:`_BATCH_POSITION_BUDGET` decoder positions —
     datasets of short trajectories get wide batches, long-trajectory datasets
     narrow ones, keeping every batch in the GEMM-bound (not dispatch-bound)
-    regime with a bounded working set.
+    regime with a bounded working set.  Packing starts from the longest
+    trajectory, so the leftover batch holds the shortest ones: a batch costs
+    one sequential GRU step per position of its longest row, however few rows
+    it has.
     """
     lengths = np.fromiter(
         (len(item.trajectory) for item in dataset), dtype=np.int64, count=len(dataset)
@@ -685,20 +707,14 @@ def _length_sorted_batches(
     if batch_size is not None:
         return [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
     batches: List[np.ndarray] = []
-    start = 0
-    count = len(order)
-    while start < count:
-        size = 1
+    end = len(order)
+    while end > 0:
         # Sorted ascending, so the last trajectory sets the padded length.
-        while (
-            start + size < count
-            and size < _BATCH_MAX_ROWS
-            and (size + 1) * lengths[order[start + size]] <= _BATCH_POSITION_BUDGET
-        ):
-            size += 1
-        batches.append(order[start : start + size])
-        start += size
-    return batches
+        longest = max(int(lengths[order[end - 1]]), 1)
+        size = min(end, _BATCH_MAX_ROWS, max(1, _BATCH_POSITION_BUDGET // longest))
+        batches.append(order[end - size : end])
+        end -= size
+    return batches[::-1]
 
 
 # --------------------------------------------------------------------------- #
@@ -748,7 +764,11 @@ class InferenceEngine:
             x_tm = _embed_time_major(
                 tg.segment_embedding.weight.data, batch.inputs, ws, "dec.x"
             )
-            hs = _gru_forward_np(x_tm, h0, tg.decoder_rnn.cell, ws, "dec")
+            steps = batch.mask.sum(axis=1)
+            sorted_rows = bool(np.all(steps[1:] >= steps[:-1]))
+            hs = _gru_forward_np(
+                x_tm, h0, tg.decoder_rnn.cell, ws, "dec", steps=steps if sorted_rows else None
+            )
             per_step_nll = self._per_step_nll(batch, hs[1:])
             step_log_probs = -per_step_nll
             trajectory_nll = per_step_nll.sum(axis=1)

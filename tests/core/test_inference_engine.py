@@ -32,7 +32,13 @@ from repro.core import (
     ScoreDecomposition,
     TrainingConfig,
 )
-from repro.core.inference import Workspace, _length_sorted_batches
+from repro.core.inference import (
+    _BATCH_POSITION_BUDGET,
+    Workspace,
+    _gru_forward_np,
+    _length_sorted_batches,
+)
+from repro.nn import GRUCell
 from repro.nn import no_grad
 from repro.trajectory.dataset import TrajectoryDataset, encode_batch
 from repro.trajectory.types import MapMatchedTrajectory
@@ -324,6 +330,36 @@ def test_length_bucketed_batches_cover_every_index(benchmark_data, mixed_dataset
         for indices in batches:
             lengths = [len(mixed_dataset[int(i)].trajectory) for i in indices]
             assert lengths == sorted(lengths)
+
+
+def test_budget_packing_leaves_the_shortest_trajectories_over():
+    """Only the batch of the shortest trajectories may fall short of the budget."""
+    walks = [
+        MapMatchedTrajectory(trajectory_id=f"w{i}", segments=list(range(2 + i % 97)))
+        for i in range(400)
+    ]
+    dataset = TrajectoryDataset.from_trajectories(walks, 128, name="lengths")
+    batches = _length_sorted_batches(dataset, None)
+    longest = [max(len(dataset[int(i)].trajectory) for i in b) for b in batches]
+    assert longest == sorted(longest)
+    for indices, length in zip(batches[1:], longest[1:]):
+        assert len(indices) == _BATCH_POSITION_BUDGET // length
+
+
+def test_padding_free_gru_matches_the_full_unroll():
+    """Rows sorted by length run only their real steps, with unchanged states."""
+    rng = np.random.default_rng(3)
+    cell = GRUCell(8, 6, rng=RandomState(4))
+    steps = np.array([0, 2, 2, 5, 7, 9, 9, 11])
+    x_tm = rng.standard_normal((11, len(steps), 8))
+    h0 = np.tanh(rng.standard_normal((len(steps), 6)))
+    full = _gru_forward_np(x_tm, h0, cell, Workspace(), "full").copy()
+    packed = _gru_forward_np(x_tm, h0, cell, Workspace(), "packed", steps=steps).copy()
+    for row, count in enumerate(steps):
+        np.testing.assert_array_equal(packed[: count + 1, row], full[: count + 1, row])
+    # Finished rows stay zero, except the two rows kept running to the end.
+    for row, count in enumerate(steps[:-2]):
+        assert not packed[count + 1 :, row].any()
 
 
 def test_workspace_reuses_and_grows():

@@ -1,10 +1,10 @@
 """The bench-gate measuring condition: one BLAS thread, same-machine ratchet.
 
-Covers ``benchmarks.support.baseline_floor`` (ratchets only against a baseline
-whose ``machine`` fingerprint matches the running process),
-``tools/update_bench_baselines.py`` (records the artifacts' fingerprint, and
-``--check`` compares only against comparable baselines) and the
-repository-root ``conftest.py`` thread pin.
+Covers ``benchmarks.support.baseline_floor`` (a baseline that names a
+``machine`` ratchets only where that fingerprint matches the running process),
+``tools/update_bench_baselines.py`` (records the artifacts' fingerprint and
+the median of several runs, and ``--check`` compares only against comparable
+baselines) and the repository-root ``conftest.py`` thread pin.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ import ctypes
 import importlib.util
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from benchmarks import support
+from benchmarks.threads import THREAD_ENV_VARS
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -33,12 +35,14 @@ def _load_tool():
 tool = _load_tool()
 
 OTHER_MACHINE = {
-    "cpus": 64,
-    "arch": "riscv64",
+    "nproc": 64,
+    "cpu_count": 64,
+    "machine": "riscv64",
+    "python": "3.0.0",
     "numpy": "0.0",
     "blas": "reference",
     "blas_version": "0.0",
-    "blas_threads": "8",
+    "blas_threads": {name: "8" for name in THREAD_ENV_VARS},
 }
 
 
@@ -79,7 +83,7 @@ def _openblas_threads():
 
 def test_pytest_process_runs_at_one_blas_thread():
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-    assert support.machine_fingerprint()["blas_threads"] == "1"
+    assert set(support.machine_fingerprint()["blas_threads"].values()) == {"1"}
     reported = _openblas_threads()
     if reported is not None:
         assert reported == 1
@@ -101,6 +105,24 @@ def test_machine_fingerprint_is_json_stable():
     assert fingerprint == support.machine_fingerprint()
 
 
+def test_thread_pin_and_fingerprint_match_the_end_to_end_benchmark(monkeypatch):
+    """The bench gates and ``perfbench`` pin the same pools and name a machine alike."""
+    perfbench_dir = os.path.join(REPO_ROOT, "perfbench")
+    monkeypatch.syspath_prepend(perfbench_dir)
+    for name in ("catalog", "perfbench_harness"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_harness", os.path.join(perfbench_dir, "harness.py")
+    )
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    try:
+        assert harness.THREAD_ENV_VARS == THREAD_ENV_VARS
+        assert harness.machine_context() == support.machine_fingerprint()
+    finally:
+        sys.modules.pop("catalog", None)
+
+
 def test_baseline_floor_ratchets_on_the_same_machine(baseline_root):
     _write_json(
         baseline_root / "BENCH_scoring.json",
@@ -120,8 +142,15 @@ def test_baseline_floor_ignores_a_baseline_from_another_machine(baseline_root):
     assert support.baseline_floor("scoring", "score_speedup", 3.0) == 3.0
 
 
-def test_baseline_floor_ignores_a_baseline_without_machine(baseline_root):
+def test_baseline_floor_keeps_ratcheting_a_baseline_without_machine(baseline_root):
+    """A baseline from before baselines named their machine still ratchets."""
     _write_json(baseline_root / "BENCH_scoring.json", {"metrics": {"score_speedup": 10.0}})
+    expected = 10.0 * (1.0 - support.BENCH_BASELINE_TOLERANCE)
+    assert support.baseline_floor("scoring", "score_speedup", 3.0) == pytest.approx(expected)
+    _write_json(
+        baseline_root / "BENCH_scoring.json",
+        {"machine": None, "metrics": {"score_speedup": 10.0}},
+    )
     assert support.baseline_floor("scoring", "score_speedup", 3.0) == 3.0
 
 
@@ -169,12 +198,57 @@ def test_update_records_the_artifacts_fingerprint(tmp_path):
     assert baseline["metrics"] == {"score_speedup": 4.0, "sweep_speedup": 20.0}
 
 
-def test_update_drops_metrics_recorded_on_another_machine(tmp_path):
+def test_update_records_the_median_of_several_runs(tmp_path):
+    runs = []
+    for run, score in enumerate((3.0, 5.0, 4.0)):
+        directory = tmp_path / f"run{run}"
+        directory.mkdir()
+        _write_json(
+            directory / "bench_score_throughput.json",
+            {"score_speedup": score, "sweep_speedup": 10.0 * score, "machine": OTHER_MACHINE},
+        )
+        runs.append(str(directory))
+    root = tmp_path / "root"
+    root.mkdir()
+    assert tool.update(runs, str(root), log=_quiet) == 0
+    baseline = _read_json(root / "BENCH_scoring.json")
+    assert baseline["metrics"] == {"score_speedup": 4.0, "sweep_speedup": 40.0}
+    assert baseline["machine"] == OTHER_MACHINE
+
+
+def test_collect_names_no_machine_when_artifacts_disagree(tmp_path):
+    directory = tmp_path / "artifacts"
+    directory.mkdir()
+    queries = {"speedup": 80.0, "machine": OTHER_MACHINE}
+    _write_json(directory / "bench_roadnet_queries.json", queries)
+    _write_json(
+        directory / "bench_roadnet_dijkstra.json",
+        {"speedup": 10.0, "machine": support.machine_fingerprint()},
+    )
+    measured, machine = tool.collect_area_metrics("roadnet", str(directory))
+    assert measured == {"queries.speedup": 80.0, "dijkstra.speedup": 10.0}
+    assert machine is None
+    _write_json(directory / "bench_roadnet_dijkstra.json", {**queries, "speedup": 10.0})
+    assert tool.collect_area_metrics("roadnet", str(directory))[1] == OTHER_MACHINE
+    # Mixed artifacts make no baseline and are compared with none.
+    _write_json(directory / "bench_roadnet_dijkstra.json", {"speedup": 10.0})
+    root = tmp_path / "root"
+    root.mkdir()
+    assert tool.update(str(directory), str(root), log=_quiet) == 1
+    assert not (root / "BENCH_roadnet.json").exists()
+    _write_json(root / "BENCH_roadnet.json", {"metrics": {"queries.speedup": 500.0}})
+    lines = []
+    assert tool.check(str(directory), str(root), 0.25, log=lines.append) == 0
+    assert any("not comparable (recorded on" in line for line in lines)
+
+
+@pytest.mark.parametrize("recorded", [{}, {"machine": None}, {"machine": {"nproc": 1}}])
+def test_update_drops_metrics_recorded_on_another_machine(tmp_path, recorded):
     root = tmp_path / "root"
     root.mkdir()
     _write_json(
         root / "BENCH_scoring.json",
-        {"machine": None, "metrics": {"score_speedup": 9.0, "stale_speedup": 5.0}},
+        {**recorded, "metrics": {"score_speedup": 9.0, "stale_speedup": 5.0}},
     )
     assert tool.update(_artifacts(tmp_path, OTHER_MACHINE), str(root), log=_quiet) == 0
     assert set(_read_json(root / "BENCH_scoring.json")["metrics"]) == {
@@ -206,9 +280,29 @@ def test_check_fails_a_comparable_regression(tmp_path):
     assert any("REGRESSED" in line for line in lines)
 
 
+def test_check_compares_a_baseline_without_machine(tmp_path):
+    """A baseline from before baselines named their machine is still compared."""
+    _write_json(
+        tmp_path / "BENCH_scoring.json",
+        {"metrics": {"score_speedup": 4.0, "sweep_speedup": 20.0}},
+    )
+    lines = []
+    artifacts = _artifacts(tmp_path, OTHER_MACHINE)
+    assert tool.check(artifacts, str(tmp_path), 0.25, log=lines.append) == 0
+    assert any("score_speedup" in line and "OK" in line for line in lines)
+    artifacts = _artifacts(tmp_path, OTHER_MACHINE, score=2.0)
+    assert tool.check(artifacts, str(tmp_path), 0.25, log=_quiet) == 1
+
+
 @pytest.mark.parametrize(
     "recorded, measured",
-    [(None, OTHER_MACHINE), (OTHER_MACHINE, None), (None, None), (OTHER_MACHINE, {"cpus": 1})],
+    [
+        (None, OTHER_MACHINE),
+        (OTHER_MACHINE, None),
+        (None, None),
+        (OTHER_MACHINE, {**OTHER_MACHINE, "nproc": 1}),
+    ],
+    ids=["unknown-baseline", "unknown-artifacts", "both-unknown", "other-nproc"],
 )
 def test_check_skips_a_baseline_from_another_machine(tmp_path, recorded, measured):
     _baseline(tmp_path, recorded, score=100.0, sweep=100.0)
@@ -217,6 +311,7 @@ def test_check_skips_a_baseline_from_another_machine(tmp_path, recorded, measure
     assert tool.check(artifacts, str(tmp_path), 0.25, log=lines.append) == 0
     assert any("not comparable (recorded on" in line for line in lines)
     assert not any("REGRESSED" in line for line in lines)
+    assert lines[-1].startswith("nothing compared")
 
 
 def test_check_fails_without_artifacts(tmp_path):

@@ -24,12 +24,21 @@ A baseline applies only on that machine: ``benchmarks/support.baseline_floor``
 ratchets a bench gate up to ``baseline * (1 - tolerance)`` (never below the
 fixed floor) only when the running machine matches, and ``--check`` compares
 only against baselines recorded on the artifacts' machine, reporting any
-other as not comparable.
+other as not comparable.  The fingerprint names CPUs, Python, numpy, BLAS
+and its threads, so a baseline recorded on one host never ratchets a hosted
+CI runner.  A baseline recorded before baselines named their machine (no
+``machine`` key) still applies everywhere, as it always has, until it is
+refreshed.
+
+``--artifacts`` takes one directory per benchmark run; with several, each
+metric is the median over the runs, so one lucky or unlucky run does not set
+the ratchet.  All artifacts of an area must name one machine, else the area
+counts as measured on an unknown machine.
 
 Usage::
 
-    # refresh the committed baselines from a fresh artifact directory
-    python tools/update_bench_baselines.py --artifacts bench-artifacts
+    # refresh the committed baselines from three fresh benchmark runs
+    python tools/update_bench_baselines.py --artifacts run1 run2 run3
 
     # CI drift gate: compare fresh artifacts against the committed baselines
     python tools/update_bench_baselines.py --check --artifacts bench-artifacts
@@ -45,8 +54,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -90,56 +100,87 @@ def _baseline_path(area: str, root: str) -> str:
     return os.path.join(root, f"BENCH_{area}.json")
 
 
-def collect_area_metrics(area: str, artifacts_dir: str) -> Tuple[Dict[str, float], Any]:
+def _as_dirs(artifacts: Union[str, Sequence[str]]) -> List[str]:
+    return [artifacts] if isinstance(artifacts, str) else list(artifacts)
+
+
+def collect_area_metrics(
+    area: str, artifacts: Union[str, Sequence[str]]
+) -> Tuple[Dict[str, float], Any]:
     """Gated metrics the artifacts present for ``area`` measured, and where.
 
-    The second item is the artifacts' ``machine`` fingerprint (``None`` for
-    artifacts that predate it).
+    ``artifacts`` is one artifact directory or several (one per run); each
+    metric is its median over the runs that measured it.  The second item is
+    the artifacts' common ``machine`` fingerprint: ``None`` when any of them
+    lacks one or two of them disagree, since the metrics then describe no one
+    machine.
     """
-    measured: Dict[str, float] = {}
-    machine = None
-    for artifact, mapping in AREAS[area].items():
-        payload = _load_json(os.path.join(artifacts_dir, f"{artifact}.json"))
-        if payload is None:
-            continue
-        machine = payload.get("machine")
-        for source, target in mapping.items():
-            if source in payload:
-                measured[target] = float(payload[source])
-    return measured, machine
+    samples: Dict[str, List[float]] = {}
+    machines: List[Any] = []
+    for directory in _as_dirs(artifacts):
+        for artifact, mapping in AREAS[area].items():
+            payload = _load_json(os.path.join(directory, f"{artifact}.json"))
+            if payload is None:
+                continue
+            machines.append(payload.get("machine"))
+            for source, target in mapping.items():
+                if source in payload:
+                    samples.setdefault(target, []).append(float(payload[source]))
+    machine = machines[0] if machines else None
+    if any(other != machine for other in machines):
+        machine = None
+    return {name: statistics.median(values) for name, values in samples.items()}, machine
 
 
-def same_machine(recorded: Any, measured: Any) -> bool:
-    """Whether two ``machine`` fingerprints name one known machine."""
-    return recorded is not None and recorded == measured
+def comparable(baseline: dict, measured: Any) -> bool:
+    """Whether ``baseline`` applies to artifacts measured on ``measured``.
+
+    A baseline that names a ``machine`` applies only to that machine.  One
+    recorded before baselines named their machine (no ``machine`` key)
+    applies to any machine, as it always has.  Artifacts that name no one
+    machine compare with nothing.
+    """
+    return measured is not None and baseline.get("machine", measured) == measured
 
 
 def describe_machine(machine: Any) -> str:
     """One line naming a ``machine`` fingerprint (or its absence)."""
     if not isinstance(machine, dict):
         return "an unrecorded machine"
+    threads = machine.get("blas_threads")
+    if isinstance(threads, dict):
+        threads = threads.get("OPENBLAS_NUM_THREADS")
     return (
-        f"{machine.get('arch')}, {machine.get('cpus')} CPUs, numpy {machine.get('numpy')}, "
-        f"{machine.get('blas')} {machine.get('blas_version')}, "
-        f"BLAS threads {machine.get('blas_threads')}"
+        f"{machine.get('machine')}, {machine.get('nproc')} CPUs, "
+        f"Python {machine.get('python')}, numpy {machine.get('numpy')}, "
+        f"{machine.get('blas')} {machine.get('blas_version')}, BLAS threads {threads}"
     )
 
 
-def update(artifacts_dir: str, root: str, log=print) -> int:
+def update(artifacts: Union[str, Sequence[str]], root: str, log=print) -> int:
     """Fold fresh artifact metrics into the committed baselines.
 
     The baseline takes the artifacts' ``machine``; metrics already committed
-    are kept only when they were recorded on that same machine.
+    are kept only when they were recorded on that same machine.  An area whose
+    artifacts name no one machine is left unchanged, and the exit code is 1.
     """
     wrote = 0
+    refused = 0
+    where = ", ".join(_as_dirs(artifacts))
     for area in AREAS:
-        measured, machine = collect_area_metrics(area, artifacts_dir)
+        measured, machine = collect_area_metrics(area, artifacts)
         if not measured:
-            log(f"[{area}] no artifacts in {artifacts_dir}; baseline unchanged")
+            log(f"[{area}] no artifacts in {where}; baseline unchanged")
+            continue
+        if machine is None:
+            log(f"error: [{area}] the artifacts in {where} name no one machine; "
+                "baseline unchanged")
+            refused += 1
             continue
         path = _baseline_path(area, root)
         existing = _load_json(path) or {}
-        metrics = dict(existing.get("metrics", {})) if same_machine(existing.get("machine"), machine) else {}
+        keep = existing.get("machine") == machine
+        metrics = dict(existing.get("metrics", {})) if keep else {}
         metrics.update(measured)
         scale = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
         baseline = {
@@ -157,13 +198,13 @@ def update(artifacts_dir: str, root: str, log=print) -> int:
         log(f"[{area}] wrote {os.path.relpath(path, root)}: "
             + ", ".join(f"{k}={v:.2f}x" for k, v in sorted(measured.items())))
         wrote += 1
-    if wrote == 0:
-        log(f"error: no benchmark artifacts found under {artifacts_dir}")
+    if wrote == 0 and refused == 0:
+        log(f"error: no benchmark artifacts found under {where}")
         return 1
-    return 0
+    return 1 if refused else 0
 
 
-def check(artifacts_dir: str, root: str, tolerance: float, log=print) -> int:
+def check(artifacts: Union[str, Sequence[str]], root: str, tolerance: float, log=print) -> int:
     """Fail (exit 1) when a fresh run regresses beyond ``tolerance``.
 
     Only baselines recorded on the artifacts' machine are compared; others
@@ -173,7 +214,7 @@ def check(artifacts_dir: str, root: str, tolerance: float, log=print) -> int:
     compared = 0
     found = False
     for area in AREAS:
-        measured, machine = collect_area_metrics(area, artifacts_dir)
+        measured, machine = collect_area_metrics(area, artifacts)
         found = found or bool(measured)
         if not measured:
             continue
@@ -181,7 +222,7 @@ def check(artifacts_dir: str, root: str, tolerance: float, log=print) -> int:
         if baseline is None:
             log(f"[{area}] no committed BENCH_{area}.json; skipping")
             continue
-        if not same_machine(baseline.get("machine"), machine):
+        if not comparable(baseline, machine):
             log(f"[{area}] not comparable (recorded on "
                 f"{describe_machine(baseline.get('machine'))}; measured on "
                 f"{describe_machine(machine)}); skipping")
@@ -202,12 +243,15 @@ def check(artifacts_dir: str, root: str, tolerance: float, log=print) -> int:
             if value < floor:
                 regressions.append(f"{area}/{metric}")
     if not found:
-        log(f"error: no benchmark artifacts found under {artifacts_dir}")
+        log(f"error: no benchmark artifacts found under {', '.join(_as_dirs(artifacts))}")
         return 1
     if regressions:
         log(f"FAIL: {len(regressions)} metric(s) regressed beyond "
             f"{tolerance:.0%} tolerance: {', '.join(regressions)}")
         return 1
+    if compared == 0:
+        log("nothing compared: no committed baseline was recorded on the artifacts' machine")
+        return 0
     log(f"{compared} comparable gated metric(s) within {tolerance:.0%} of the committed baselines")
     return 0
 
@@ -216,8 +260,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--artifacts",
-        default="bench-artifacts",
-        help="directory of bench_*.json timing artifacts (default: bench-artifacts)",
+        nargs="+",
+        default=["bench-artifacts"],
+        help="directories of bench_*.json timing artifacts, one per run; each "
+        "metric is the median over the runs (default: bench-artifacts)",
     )
     parser.add_argument(
         "--root",
